@@ -1,0 +1,7 @@
+"""Make ``repro`` (``src/``) and ``perfbench`` importable for the self-tests."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
