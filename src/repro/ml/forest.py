@@ -6,37 +6,24 @@ the tuning benchmark (Table 9) are all random forests.  Besides the mean
 prediction it exposes the across-tree variance that SMAC's Gaussian
 assumption ``N(y | mu, sigma^2)`` requires.
 
-Fast path (``accelerated=True``, the default; bit-identical to the
-reference path): the expensive per-feature float sorts happen once per
-*dataset* (:func:`repro.perf.treefast.feature_sort_ranks`) and every
-bootstrap resample re-sorts via an integer radix sort of the dense rank
-keys; prediction packs all trees into one flat node array so a single
+The expensive per-feature float sorts happen once per *dataset*
+(:func:`repro.perf.treefast.feature_sort_ranks`) and every bootstrap
+resample re-sorts via an integer radix sort of the dense rank keys.
+Prediction packs all trees into one flat node array, so a single
 vectorized descent covers every (tree, sample) pair, and
-``predict``/``predict_with_std`` share that one descent instead of
-stacking per-tree prediction loops.  ``n_jobs`` optionally fans tree
-fitting out across processes — per-tree seeds and bootstrap draws are
-taken from the forest RNG *before* dispatch, so the trees are identical
-regardless of worker count.
+``predict``/``predict_with_std`` share that one descent.  Trees and
+predictions are byte-identical to per-tree
+:meth:`~repro.ml.tree.DecisionTreeRegressor._fit_scalar` fits and
+:meth:`~repro.ml.tree.DecisionTreeRegressor.predict` calls
+(``tests/ml/test_tree_bit_identity.py``).
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from repro.ml.tree import DecisionTreeRegressor
 from repro.perf.treefast import PackedTrees, feature_sort_ranks, subset_sort_orders
-
-
-def _fit_single_tree(
-    params: dict,
-    X: np.ndarray,
-    y: np.ndarray,
-    sort_order: np.ndarray | None,
-) -> DecisionTreeRegressor:
-    """Module-level so ``n_jobs`` workers can unpickle the task."""
-    return DecisionTreeRegressor(**params).fit(X, y, sort_order=sort_order)
 
 
 class RandomForestRegressor:
@@ -51,13 +38,9 @@ class RandomForestRegressor:
         max_features: int | float | str | None = 0.8,
         bootstrap: bool = True,
         seed: int | None = None,
-        accelerated: bool = True,
-        n_jobs: int | None = None,
     ) -> None:
         if n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
-        if n_jobs is not None and n_jobs < 1:
-            raise ValueError("n_jobs must be >= 1")
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
@@ -65,21 +48,9 @@ class RandomForestRegressor:
         self.max_features = max_features
         self.bootstrap = bootstrap
         self.seed = seed
-        self.accelerated = accelerated
-        self.n_jobs = n_jobs
         self.trees_: list[DecisionTreeRegressor] = []
         self.n_features_: int = 0
         self._packed: PackedTrees | None = None
-
-    def _tree_params(self, tree_seed: int) -> dict:
-        return {
-            "max_depth": self.max_depth,
-            "min_samples_split": self.min_samples_split,
-            "min_samples_leaf": self.min_samples_leaf,
-            "max_features": self.max_features,
-            "seed": tree_seed,
-            "accelerated": self.accelerated,
-        }
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "RandomForestRegressor":
         X = np.asarray(X, dtype=float)
@@ -91,38 +62,26 @@ class RandomForestRegressor:
         n = len(X)
         self.n_features_ = X.shape[1]
         rng = np.random.default_rng(self.seed)
-        # All per-tree entropy is drawn up front, in the same order the
-        # serial reference loop consumed it (seed, then bootstrap rows,
-        # per tree) — so accelerated / n_jobs variants grow byte-identical
-        # trees.
-        draws: list[tuple[int, np.ndarray | None]] = []
+        ranks = feature_sort_ranks(X)
+        # Without bootstrap every tree sees the same rows: one order
+        # matrix serves the whole ensemble.
+        shared_order = None if self.bootstrap else np.argsort(ranks, axis=1, kind="stable")
+        self.trees_ = []
         for _ in range(self.n_estimators):
-            tree_seed = int(rng.integers(0, 2**31 - 1))
-            rows = rng.integers(0, n, size=n) if self.bootstrap else None
-            draws.append((tree_seed, rows))
-
-        ranks = feature_sort_ranks(X) if self.accelerated else None
-        shared_order = None
-        if ranks is not None and not self.bootstrap:
-            # Without bootstrap every tree sees the same rows: one order
-            # matrix serves the whole ensemble.
-            shared_order = np.argsort(ranks, axis=1, kind="stable")
-
-        tasks: list[tuple[dict, np.ndarray, np.ndarray, np.ndarray | None]] = []
-        for tree_seed, rows in draws:
-            params = self._tree_params(tree_seed)
-            if rows is None:
-                tasks.append((params, X, y, shared_order))
+            # Per tree, the seed is drawn before the bootstrap rows.
+            tree = DecisionTreeRegressor(
+                max_depth=self.max_depth,
+                min_samples_split=self.min_samples_split,
+                min_samples_leaf=self.min_samples_leaf,
+                max_features=self.max_features,
+                seed=int(rng.integers(0, 2**31 - 1)),
+            )
+            if self.bootstrap:
+                rows = rng.integers(0, n, size=n)
+                tree.fit(X[rows], y[rows], sort_order=subset_sort_orders(ranks, rows))
             else:
-                order = subset_sort_orders(ranks, rows) if ranks is not None else None
-                tasks.append((params, X[rows], y[rows], order))
-
-        if self.n_jobs is not None and self.n_jobs > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=self.n_jobs) as pool:
-                futures = [pool.submit(_fit_single_tree, *task) for task in tasks]
-                self.trees_ = [future.result() for future in futures]
-        else:
-            self.trees_ = [_fit_single_tree(*task) for task in tasks]
+                tree.fit(X, y, sort_order=shared_order)
+            self.trees_.append(tree)
         self._packed = None
         return self
 
@@ -130,21 +89,16 @@ class RandomForestRegressor:
         if not self.trees_:
             raise RuntimeError("forest is not fitted")
 
-    def _packed_trees(self) -> PackedTrees:
-        if self._packed is None:
-            self._packed = PackedTrees(self.trees_)
-        return self._packed
-
     def tree_predictions(self, X: np.ndarray) -> np.ndarray:
         """Per-tree predictions, shape ``(n_estimators, n_samples)``.
 
-        Accelerated: one batched descent over the packed node arrays for
-        all (tree, sample) pairs; otherwise a per-tree traversal loop.
+        One batched descent over the packed node arrays covers all
+        (tree, sample) pairs.
         """
         self._check_fitted()
-        if self.accelerated:
-            return self._packed_trees().values(X)
-        return np.array([tree.predict(X) for tree in self.trees_])
+        if self._packed is None:
+            self._packed = PackedTrees(self.trees_)
+        return self._packed.values(X)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Mean prediction across trees (one ensemble descent)."""

@@ -12,9 +12,10 @@ is implementation overhead on top of it, so ``fit`` threads a per-fit
 (the pairwise distances are theta-independent and identical across the
 ~120 likelihood evaluations of one hyperparameter search) and derives the
 final ``log_marginal_likelihood_`` from the factorization it already has
-instead of running a third Cholesky.  Both are bit-identical to the naive
-path.  :meth:`augment` additionally offers an *opt-in* O(n^2) incremental
-refit for callers that append one observation at a time with fixed theta.
+instead of running a third Cholesky.  Both are bit-identical to kernel
+calls without a cache and to a directly evaluated likelihood
+(``tests/ml/test_gp_cache.py``).  Every ``fit`` is a from-scratch fit:
+a hyperparameter search and a fresh factorization of the full history.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from scipy import linalg, optimize, stats
 
 from repro.ml.kernels import Kernel, RBFKernel
 from repro.perf.cache import KernelCache
-from repro.perf.incremental import cholesky_append
 
 
 class GaussianProcessRegressor:
@@ -47,10 +47,6 @@ class GaussianProcessRegressor:
         Number of random restarts for the hyperparameter search.
     seed:
         RNG seed for restart sampling.
-    cache_distances:
-        Reuse theta-independent pairwise kernel structures across the
-        likelihood evaluations of one ``fit`` (bit-identical; default on;
-        off reproduces the pre-acceleration code path for benchmarking).
     """
 
     def __init__(
@@ -61,7 +57,6 @@ class GaussianProcessRegressor:
         optimize_hyperparams: bool = True,
         n_restarts: int = 2,
         seed: int | None = None,
-        cache_distances: bool = True,
     ) -> None:
         if noise < 0:
             raise ValueError("noise must be >= 0")
@@ -71,7 +66,6 @@ class GaussianProcessRegressor:
         self.optimize_hyperparams = optimize_hyperparams
         self.n_restarts = n_restarts
         self.seed = seed
-        self.cache_distances = cache_distances
 
         self._X: np.ndarray | None = None
         self._y_raw: np.ndarray | None = None
@@ -79,7 +73,6 @@ class GaussianProcessRegressor:
         self._y_std: float = 1.0
         self._chol: np.ndarray | None = None
         self._alpha: np.ndarray | None = None
-        self._diag_add: float = 0.0
         self.log_marginal_likelihood_: float = float("-inf")
 
     # ------------------------------------------------------------------
@@ -156,7 +149,7 @@ class GaussianProcessRegressor:
             self._y_mean, self._y_std = 0.0, 1.0
         yn = (y - self._y_mean) / self._y_std
 
-        cache = KernelCache() if self.cache_distances else None
+        cache = KernelCache()
         if self.optimize_hyperparams:
             self._fit_hyperparams(X, yn, cache)
 
@@ -174,80 +167,14 @@ class GaussianProcessRegressor:
         self._alpha = linalg.cho_solve((self._chol, True), yn)
         self._X = X
         self._y_raw = y.copy()
-        self._diag_add = self.noise + 1e-8 + jitter
         # Derived from the factorization above — the third Cholesky the
         # seed implementation ran here was redundant.
-        self.log_marginal_likelihood_ = self._lml_from_factorization(yn)
-        return self
-
-    def _lml_from_factorization(self, yn: np.ndarray) -> float:
-        assert self._chol is not None and self._alpha is not None
-        return float(
+        self.log_marginal_likelihood_ = float(
             -0.5 * yn @ self._alpha
             - np.sum(np.log(np.diag(self._chol)))
-            - 0.5 * len(yn) * np.log(2.0 * np.pi)
+            - 0.5 * n * np.log(2.0 * np.pi)
         )
-
-    # ------------------------------------------------------------------
-    def augment(self, x: np.ndarray, y_new: float) -> "GaussianProcessRegressor":
-        """Append one observation at fixed theta in O(n^2) (opt-in path).
-
-        Extends the stored Cholesky factor by a bordered row/column
-        (:func:`~repro.perf.incremental.cholesky_append`) instead of
-        refactorizing, then refreshes the target normalization and
-        ``alpha`` with O(n^2) solves.  Hyperparameters are **not**
-        re-optimized — callers own the refit schedule.  Falls back to a
-        full fixed-theta refactorization when the bordered matrix is not
-        positive definite (e.g. a near-duplicate point at tiny jitter).
-        """
-        if self._X is None or self._chol is None or self._y_raw is None:
-            raise RuntimeError("GP is not fitted")
-        x = np.asarray(x, dtype=float).ravel()
-        if x.shape != (self._X.shape[1],):
-            raise ValueError(
-                f"expected a single point of shape ({self._X.shape[1]},), got {x.shape}"
-            )
-        X_new = np.vstack([self._X, x[None, :]])
-        y_raw = np.concatenate([self._y_raw, [float(y_new)]])
-
-        k = self.kernel(x[None, :], self._X).ravel()
-        kappa = float(self.kernel.diag(x[None, :])[0]) + self._diag_add
-        try:
-            chol = cholesky_append(self._chol, k, kappa)
-        except linalg.LinAlgError:
-            # Keep theta; redo the factorization with the jitter ladder.
-            hyperopt = self.optimize_hyperparams
-            self.optimize_hyperparams = False
-            try:
-                return self.fit(X_new, y_raw)
-            finally:
-                self.optimize_hyperparams = hyperopt
-
-        if self.normalize_y:
-            self._y_mean = float(y_raw.mean())
-            std = float(y_raw.std())
-            self._y_std = std if std > 0 else 1.0
-        yn = (y_raw - self._y_mean) / self._y_std
-        self._chol = chol
-        self._alpha = linalg.cho_solve((chol, True), yn)
-        self._X = X_new
-        self._y_raw = y_raw
-        self.log_marginal_likelihood_ = self._lml_from_factorization(yn)
         return self
-
-    def extends_by_one(self, X: np.ndarray, y: np.ndarray) -> bool:
-        """True when ``(X, y)`` equals the fitted data plus one new row."""
-        if self._X is None or self._y_raw is None:
-            return False
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        y = np.asarray(y, dtype=float).ravel()
-        n = len(self._X)
-        return (
-            len(X) == n + 1
-            and len(y) == n + 1
-            and np.array_equal(X[:n], self._X)
-            and np.array_equal(y[:n], self._y_raw)
-        )
 
     # ------------------------------------------------------------------
     def predict(
@@ -289,7 +216,7 @@ class GaussianProcessRegressor:
             raise RuntimeError("GP is not fitted")
         rng = np.random.default_rng(self.seed) if rng is None else rng
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        cache = KernelCache() if self.cache_distances else None
+        cache = KernelCache()
         K_star = self.kernel(X, self._X, cache)
         mean = K_star @ self._alpha
         v = linalg.solve_triangular(self._chol, K_star.T, lower=True)

@@ -8,16 +8,16 @@ arrays) because downstream algorithms need more than predictions:
   features over the leaf partition (Hutter et al., 2014),
 - SMAC's surrogate needs per-tree predictions to form an ensemble variance.
 
-Two split-search implementations coexist, selected by ``accelerated``
-(default on): a scalar reference that argsorts every candidate feature
-at every node, and a fast path that sorts each feature once per tree and
-propagates the order down via stable partitions, scanning all candidate
-features of a node in one cumulative-sum matrix pass.  Both center the
-node labels before the prefix-sum score whenever the labels' common
-offset dwarfs their in-node spread (large offsets would otherwise
-cancel catastrophically in ``sum**2/n`` arithmetic; well-scaled labels
-keep the historical arithmetic bit-for-bit) and both produce
-byte-identical trees — proven in ``tests/ml/test_tree_bit_identity.py``.
+``fit`` sorts each feature once per tree and propagates the order down
+via stable partitions, scanning all candidate features of a node in one
+cumulative-sum matrix pass.  :meth:`DecisionTreeRegressor._fit_scalar`,
+which argsorts every candidate feature at every node, is kept as the
+reference that ``tests/ml/test_tree_bit_identity.py`` proves the fit
+byte-identical to; no option selects it.  Both center the node labels
+before the prefix-sum score whenever the labels' common offset dwarfs
+their in-node spread (large offsets would otherwise cancel
+catastrophically in ``sum**2/n`` arithmetic; well-scaled labels keep the
+historical arithmetic bit-for-bit).
 """
 
 from __future__ import annotations
@@ -70,9 +70,6 @@ class DecisionTreeRegressor:
         a fraction to decorrelate trees.
     seed:
         Seed for the feature subsampling RNG.
-    accelerated:
-        Use the presorted, matrix-scan split search (default).  Produces
-        the same tree byte-for-byte as the scalar reference path.
     """
 
     def __init__(
@@ -82,7 +79,6 @@ class DecisionTreeRegressor:
         min_samples_leaf: int = 1,
         max_features: int | float | str | None = None,
         seed: int | None = None,
-        accelerated: bool = True,
     ) -> None:
         if min_samples_split < 2:
             raise ValueError("min_samples_split must be >= 2")
@@ -93,7 +89,6 @@ class DecisionTreeRegressor:
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.seed = seed
-        self.accelerated = accelerated
 
         # Flat tree structure (filled by fit).
         self.feature: np.ndarray | None = None
@@ -181,8 +176,8 @@ class DecisionTreeRegressor:
         ``sort_order`` is an optional ``(d, n)`` matrix of per-feature
         stable sort orders (see :func:`repro.perf.treefast.full_sort_orders`)
         that ensembles precompute so bootstrap resamples and boosting
-        rounds never re-sort the float columns.  Only consulted on the
-        accelerated path; when omitted it is computed here, once.
+        rounds never re-sort the float columns; when omitted it is
+        computed here, once.
         """
         X = np.asarray(X, dtype=float)
         y = np.asarray(y, dtype=float).ravel()
@@ -193,12 +188,14 @@ class DecisionTreeRegressor:
         if len(X) == 0:
             raise ValueError("cannot fit on empty data")
         self.n_features_ = X.shape[1]
-        if self.accelerated:
-            return self._fit_fast(X, y, sort_order)
-        return self._fit_scalar(X, y)
+        return self._fit_fast(X, y, sort_order)
 
     def _fit_scalar(self, X: np.ndarray, y: np.ndarray) -> "DecisionTreeRegressor":
-        """Reference implementation: per-node, per-feature argsort."""
+        """Reference implementation: per-node, per-feature argsort.
+
+        Not reachable from ``fit``; the bit-identity tests build their
+        reference trees with it.
+        """
         n, d = X.shape
         rng = np.random.default_rng(self.seed)
 
@@ -352,7 +349,7 @@ class DecisionTreeRegressor:
             per_row = np.arange(len(candidates))
             best_pos = np.argmax(np.where(valid, score, -np.inf), axis=1)
             has_split = valid[per_row, best_pos]
-            # The reference arm squares ``total`` as a numpy *scalar*,
+            # ``_fit_scalar`` squares ``total`` as a numpy *scalar*,
             # which routes through libm pow and can land one ULP away
             # from the exact product that the array square (x*x)
             # produces.  Near-tie feature choices hinge on those low
@@ -514,5 +511,4 @@ class DecisionTreeRegressor:
             "min_samples_leaf": self.min_samples_leaf,
             "max_features": self.max_features,
             "seed": self.seed,
-            "accelerated": self.accelerated,
         }

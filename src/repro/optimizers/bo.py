@@ -9,24 +9,17 @@ experiment (Figure 8) exposes.
 Mixed-kernel BO replaces the kernel with Matérn-5/2 x Hamming so
 categorical knobs are compared by equality only (paper §3.2).
 
-By default both refit the GP from scratch every iteration, reproducing the
-cubic algorithm-overhead growth of Figure 9.  Two layers of acceleration
-sit on top (see ``docs/PERFORMANCE.md``):
-
-- **Default-on, bit-identical** (``accelerated=True``): the GP reuses
-  theta-independent pairwise distances across the likelihood evaluations
-  of each hyperparameter fit, and the candidate pool is snapped to valid
-  encodings with the array-level :meth:`ConfigurationSpace.snap_many`
-  instead of a per-row Python decode/encode loop.  Suggestion sequences
-  are byte-for-byte unchanged.
-- **Opt-in, tolerance-equivalent** (``incremental`` / ``refit_every``):
-  an O(n^2) bordered-Cholesky append when the history grew by exactly one
-  observation, and a hyperparameter refit schedule that warm-starts theta
-  from the previous iteration and runs the full L-BFGS-B search only
-  every ``refit_every``-th model build.  Both change the iteration-wise
-  randomness, so they are **off** by default and must stay off for the
-  Figure 9 overhead experiment (which passes ``full_refit=True``
-  explicitly to keep its measured cubic-growth claim honest).
+Both refit the GP from scratch every iteration — a full hyperparameter
+search and a fresh factorization of the whole history — which is the
+cubic algorithm-overhead growth of Figure 9.  Two things remove
+implementation overhead without moving a suggestion (see
+``docs/PERFORMANCE.md``): the GP reuses theta-independent pairwise
+distances across the likelihood evaluations of each hyperparameter fit
+(bit-identical to kernel calls without a
+:class:`~repro.perf.cache.KernelCache`), and the candidate pool is
+snapped to valid encodings with the array-level
+:meth:`ConfigurationSpace.snap_many` (bit-identical to a per-row
+``decode``/``encode`` loop).
 """
 
 from __future__ import annotations
@@ -54,77 +47,25 @@ class _GPBasedBO(Optimizer):
         seed: int | None = None,
         noise: float = 1e-4,
         n_restarts: int = 1,
-        accelerated: bool = True,
-        incremental: bool = False,
-        refit_every: int = 1,
-        full_refit: bool = False,
     ) -> None:
         super().__init__(space, seed)
-        if refit_every < 1:
-            raise ValueError("refit_every must be >= 1")
         self.noise = noise
         self.n_restarts = n_restarts
-        self.accelerated = accelerated
-        self.full_refit = full_refit
-        if full_refit:
-            # Explicit opt-out used by the Figure 9 overhead experiment:
-            # force the honest from-scratch O(n^3) refit every iteration.
-            incremental, refit_every = False, 1
-        self.incremental = incremental
-        self.refit_every = refit_every
-        self._gp: GaussianProcessRegressor | None = None
-        self._theta: np.ndarray | None = None
-        self._model_builds = 0
 
     def _make_kernel(self) -> Kernel:
         raise NotImplementedError
 
-    def _make_gp(self, optimize_hyperparams: bool, n_restarts: int) -> GaussianProcessRegressor:
-        return GaussianProcessRegressor(
+    def _fit_gp(self, X: np.ndarray, y: np.ndarray) -> GaussianProcessRegressor:
+        """A fresh hyperparameter-optimized GP on the whole history."""
+        gp = GaussianProcessRegressor(
             kernel=self._make_kernel(),
             noise=self.noise,
             normalize_y=True,
-            optimize_hyperparams=optimize_hyperparams,
-            n_restarts=n_restarts,
+            optimize_hyperparams=True,
+            n_restarts=self.n_restarts,
             seed=int(self.rng.integers(0, 2**31 - 1)),
-            cache_distances=self.accelerated,
         )
-
-    def _fit_gp(self, X: np.ndarray, y: np.ndarray) -> GaussianProcessRegressor:
-        gp = self._make_gp(optimize_hyperparams=True, n_restarts=self.n_restarts)
         gp.fit(X, y)
-        return gp
-
-    def _surrogate(self, X: np.ndarray, y: np.ndarray) -> GaussianProcessRegressor:
-        """Build or update the GP according to the refit schedule."""
-        if not self.incremental and self.refit_every <= 1:
-            # Legacy schedule: a fresh hyperparameter-optimized fit every
-            # iteration (bit-identical to the seed implementation).
-            return self._fit_gp(X, y)
-
-        i = self._model_builds
-        self._model_builds += 1
-        if self._gp is None or self._theta is None or i % self.refit_every == 0:
-            # Full L-BFGS-B refit, warm-started from the previous theta.
-            gp = self._make_gp(optimize_hyperparams=True, n_restarts=self.n_restarts)
-            if self._theta is not None and len(gp.kernel.theta) == len(self._theta):
-                gp.kernel.theta = self._theta
-            gp.fit(X, y)
-            self._gp = gp
-            self._theta = gp.kernel.theta.copy()
-            return gp
-
-        if self.incremental and self._gp.extends_by_one(X, y):
-            # O(n^2) bordered-Cholesky append at frozen theta.
-            self._gp.augment(X[-1], float(y[-1]))
-            return self._gp
-
-        # History changed by more than one row (or incremental is off):
-        # refactorize at the frozen theta without a hyperparameter search.
-        gp = self._make_gp(optimize_hyperparams=False, n_restarts=0)
-        gp.kernel.theta = self._theta
-        gp.fit(X, y)
-        self._gp = gp
         return gp
 
     def _candidate_pool(self, history: History) -> np.ndarray:
@@ -149,17 +90,15 @@ class _GPBasedBO(Optimizer):
                     )
                 pool.append(np.clip(local, 0.0, 1.0))
         cands = np.vstack(pool)
-        # Snap through decode/encode so integer/categorical dims are exact.
-        if self.accelerated:
-            return self.space.snap_many(cands)
-        return self.space.encode_many([self.space.decode(row) for row in cands])
+        # Snap so integer/categorical dims are exact.
+        return self.space.snap_many(cands)
 
     def suggest(self, history: History) -> Configuration:
         succ = history.successful()
         if len(succ) < 2:
             return self._dedupe(self._random_config(), history)
         X, y = self._training_data(history)
-        gp = self._surrogate(X, y)
+        gp = self._fit_gp(X, y)
         candidates = self._candidate_pool(history)
         mean, std = gp.predict(candidates, return_std=True)
         best = max(o.score for o in succ)

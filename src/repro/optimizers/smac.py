@@ -33,7 +33,6 @@ class SMAC(Optimizer):
         n_random_candidates: int = 512,
         n_local_anchors: int = 4,
         n_local_steps: int = 8,
-        accelerated: bool = True,
     ) -> None:
         super().__init__(space, seed)
         if not 0.0 <= random_interleave_prob <= 1.0:
@@ -43,10 +42,6 @@ class SMAC(Optimizer):
         self.n_random_candidates = n_random_candidates
         self.n_local_anchors = n_local_anchors
         self.n_local_steps = n_local_steps
-        #: Use the forest fast path (presorted fits, packed batched
-        #: prediction).  Bit-identical either way; the flag exists so the
-        #: benchmark harness can time the reference arm.
-        self.accelerated = accelerated
 
     def _fit_surrogate(self, X: np.ndarray, y: np.ndarray) -> RandomForestRegressor:
         forest = RandomForestRegressor(
@@ -56,7 +51,6 @@ class SMAC(Optimizer):
             min_samples_split=3,
             bootstrap=True,
             seed=int(self.rng.integers(0, 2**31 - 1)),
-            accelerated=self.accelerated,
         )
         forest.fit(X, y)
         return forest

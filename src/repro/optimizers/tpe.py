@@ -11,13 +11,15 @@ Because the densities factor **per dimension**, TPE cannot represent
 interactions between knobs — the weakness the paper identifies as the
 reason TPE trails every other optimizer (§6.2.1).
 
-Fast path (``accelerated=True``, the default; bit-identical): sampling
-still walks the knobs in order (the RNG stream is part of the observable
-behavior), but the KDE density evaluations — the hot part, a
-``candidates x centers`` kernel matrix per dimension per side — are
-stacked across all numeric dimensions into one broadcasted pass.  Every
-numeric dimension shares the same center count (``n_good + 1`` resp.
-``n_bad + 1``), which is what makes the stacking rectangular.
+Sampling walks the knobs in declaration order (the RNG stream is part of
+the observable behavior), but the KDE density evaluations — the hot
+part, a ``candidates x centers`` kernel matrix per dimension per side —
+are stacked across all numeric dimensions into one broadcasted pass
+(:func:`_batched_numeric_log_pdf`).  Every numeric dimension shares the
+same center count (``n_good + 1`` resp. ``n_bad + 1``), which is what
+makes the stacking rectangular.  Each row of that pass is byte-identical
+to :meth:`_NumericParzen.log_pdf`, the per-dimension reference
+(``tests/ml/test_tree_bit_identity.py``).
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ class _NumericParzen:
         return np.clip(draws, 0.0, 1.0)
 
     def log_pdf(self, x: np.ndarray) -> np.ndarray:
+        """Per-dimension reference; ``TPE`` evaluates all numeric
+        dimensions at once through :func:`_batched_numeric_log_pdf`."""
         x = np.asarray(x, dtype=float)
         diff = (x[:, None] - self.centers[None, :]) / self.bandwidth
         log_kernels = -0.5 * diff**2 - np.log(self.bandwidth * np.sqrt(2.0 * np.pi))
@@ -106,7 +110,6 @@ class TPE(Optimizer):
         gamma: float = 0.25,
         n_candidates: int = 64,
         min_observations: int = 4,
-        accelerated: bool = True,
     ) -> None:
         super().__init__(space, seed)
         if not 0.0 < gamma < 1.0:
@@ -114,7 +117,6 @@ class TPE(Optimizer):
         self.gamma = gamma
         self.n_candidates = n_candidates
         self.min_observations = min_observations
-        self.accelerated = accelerated
 
     def suggest(self, history: History) -> Configuration:
         if len(history) < self.min_observations:
@@ -130,7 +132,7 @@ class TPE(Optimizer):
         cand = np.empty((self.n_candidates, d))
         # Pass 1 — build the per-dimension densities and sample the
         # candidate columns, walking the knobs in declaration order so
-        # the RNG stream matches the reference implementation exactly.
+        # the RNG stream is fixed by the knob order.
         # Density evaluation is deferred: categorical log-pdfs are cheap
         # lookups, numeric ones are collected for one broadcasted pass.
         contributions: list[tuple[np.ndarray, np.ndarray] | None] = [None] * d
@@ -158,31 +160,23 @@ class TPE(Optimizer):
                 numeric_good.append(good)
                 numeric_bad.append(bad)
 
-        # Pass 2 — numeric densities: one stacked kernel-matrix pass per
-        # side when accelerated, a per-dimension loop otherwise.
+        # Pass 2 — numeric densities: one stacked kernel-matrix pass per side.
         if numeric_dims:
-            if self.accelerated:
-                draws_mat = np.stack(numeric_draws, axis=1)
-                log_l_rows = _batched_numeric_log_pdf(
-                    draws_mat,
-                    np.stack([p.centers for p in numeric_good]),
-                    np.array([p.bandwidth for p in numeric_good]),
-                )
-                log_g_rows = _batched_numeric_log_pdf(
-                    draws_mat,
-                    np.stack([p.centers for p in numeric_bad]),
-                    np.array([p.bandwidth for p in numeric_bad]),
-                )
-                for pos, j in enumerate(numeric_dims):
-                    contributions[j] = (log_l_rows[pos], log_g_rows[pos])
-            else:
-                for pos, j in enumerate(numeric_dims):
-                    contributions[j] = (
-                        numeric_good[pos].log_pdf(numeric_draws[pos]),
-                        numeric_bad[pos].log_pdf(numeric_draws[pos]),
-                    )
+            draws_mat = np.stack(numeric_draws, axis=1)
+            log_l_rows = _batched_numeric_log_pdf(
+                draws_mat,
+                np.stack([p.centers for p in numeric_good]),
+                np.array([p.bandwidth for p in numeric_good]),
+            )
+            log_g_rows = _batched_numeric_log_pdf(
+                draws_mat,
+                np.stack([p.centers for p in numeric_bad]),
+                np.array([p.bandwidth for p in numeric_bad]),
+            )
+            for pos, j in enumerate(numeric_dims):
+                contributions[j] = (log_l_rows[pos], log_g_rows[pos])
 
-        # Pass 3 — accumulate in knob order (the reference summation
+        # Pass 3 — accumulate in knob order (the per-dimension summation
         # order, kept for bit identity).
         log_l = np.zeros(self.n_candidates)
         log_g = np.zeros(self.n_candidates)

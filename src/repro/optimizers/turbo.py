@@ -119,9 +119,6 @@ class TuRBO(Optimizer):
             optimize_hyperparams=len(region.observations) >= 6,
             n_restarts=0,
             seed=int(self.rng.integers(0, 2**31 - 1)),
-            # Local models refit every suggestion: reuse the pairwise
-            # distances across their hyperparameter-search evaluations.
-            cache_distances=True,
         )
         gp.fit(X, y)
         return gp

@@ -28,7 +28,7 @@ class RegistryOptimizerFactory:
     process boundary; this by-name factory can.  ``options`` is a tuple of
     ``(keyword, value)`` pairs forwarded to the optimizer constructor — a
     tuple rather than a dict so the factory stays hashable and picklable
-    (e.g. ``(("full_refit", True),)`` for the Figure 9 overhead runs).
+    (e.g. ``(("n_trees", 10),)`` for a smaller SMAC forest).
     """
 
     optimizer_name: str

@@ -1,18 +1,15 @@
-"""Surrogate hot-path acceleration primitives and the tracked benchmark harness.
+"""Surrogate hot-path primitives and the tracked benchmark harness.
 
 Every optimizer study in the paper spends its wall-clock inside a
-surrogate model.  This package holds the machinery that removes the
-*implementation* overhead from those hot paths — never changing a single
+surrogate model.  This package holds the primitives that keep
+*implementation* overhead off those hot paths without changing a single
 output bit:
 
 - :mod:`repro.perf.cache` — :class:`KernelCache`, a per-fit store for
   theta-independent pairwise structures (squared distances, Hamming
   mismatch counts) reused across the ~120 log-marginal-likelihood
-  evaluations one L-BFGS-B GP hyperparameter fit performs (layer 1).
-- :mod:`repro.perf.incremental` — :func:`cholesky_append`, the O(n^2)
-  bordered-Cholesky update behind the GP's opt-in incremental refit
-  (layer 2).
-- :mod:`repro.perf.treefast` — the tree-ensemble fast path (layer 2b):
+  evaluations one L-BFGS-B GP hyperparameter fit performs.
+- :mod:`repro.perf.treefast` — the tree-ensemble primitives:
   once-per-dataset feature presorting with integer rank keys
   (:func:`feature_sort_ranks` / :func:`subset_sort_orders`) reused
   across every bootstrap resample and boosting round, and
@@ -21,15 +18,12 @@ output bit:
   vectorized numpy otherwise).
 - :mod:`repro.perf.bench` — ``python -m repro.perf.bench``, the
   microbenchmark harness timing GP fit/predict, candidate-pool
-  construction, BO/SMAC/TPE iterations, and forest/GBM fit/predict in
-  baseline vs optimized arms; emits ``benchmarks/perf/BENCH_PR9.json``
-  so the perf trajectory is tracked in-repo from PR 4 onward (see
-  ``docs/PERFORMANCE.md``), and diffs tracked payloads via
-  ``--compare``.
+  construction, BO/SMAC/TPE iterations, and forest/GBM fit/predict;
+  emits a tracked ``benchmarks/perf/BENCH_*.json`` file and diffs two
+  of them via ``--compare`` (see ``docs/PERFORMANCE.md``).
 """
 
 from repro.perf.cache import KernelCache
-from repro.perf.incremental import cholesky_append
 from repro.perf.treefast import (
     PackedTrees,
     feature_sort_ranks,
@@ -39,7 +33,6 @@ from repro.perf.treefast import (
 
 __all__ = [
     "KernelCache",
-    "cholesky_append",
     "PackedTrees",
     "feature_sort_ranks",
     "full_sort_orders",

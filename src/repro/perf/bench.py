@@ -1,7 +1,7 @@
 """Microbenchmark harness for the surrogate hot paths (``python -m repro.perf.bench``).
 
 Times the operations the paper's optimizer studies spend their
-wall-clock in, at several history sizes, in two arms each:
+wall-clock in, at several history sizes, one implementation per cell:
 
 ==================  =====================================================
 ``gp_fit``          Full hyperparameter-optimized GP fit (L-BFGS-B over
@@ -10,8 +10,8 @@ wall-clock in, at several history sizes, in two arms each:
 ``candidate_pool``  Snapping a 1280-row candidate matrix to valid unit
                     encodings over a mixed (continuous/integer/
                     categorical, linear/log) space.
-``bo_iteration``    One steady-state BO iteration at history size ``n``:
-                    surrogate (re)build plus acquisition maximization.
+``bo_iteration``    One BO iteration at history size ``n``: from-scratch
+                    GP fit plus acquisition maximization.
 ``forest_fit``      SMAC-shaped random forest (20 trees, 0.8 features)
                     fit on an ``(n, 197)`` training set — the paper's
                     full-knob dimensionality.
@@ -26,17 +26,14 @@ wall-clock in, at several history sizes, in two arms each:
                     64 candidates, l/g ranking.
 ==================  =====================================================
 
-The **baseline** arm reproduces the pre-acceleration implementations
-(``accelerated=False``: no distance caching, per-row decode/encode snap
-loop, from-scratch refit each iteration, per-node argsort split search,
-per-tree prediction loops, per-dimension KDE evaluation); the
-**optimized** arm enables the default-on layers plus — for
-``bo_iteration`` only — the opt-in incremental Cholesky append and
-warm-started refit schedule.  Results are written as JSON (default
-``benchmarks/perf/BENCH_PR9.json``) so the perf trajectory is tracked
-in-repo from PR 4 onward; ``--validate`` checks an existing file against
-the schema without re-running anything, and ``--compare OLD NEW`` diffs
-two tracked payloads cell by cell.
+Each cell is timed as the minimum over ``--repeats`` trials of the one
+code path the library runs.  Results are written as JSON (default
+``benchmarks/perf/BENCH_PR13.json``; rows are ``{op, n, seconds}``) and
+the trajectory is tracked by diffing two committed payloads with
+``--compare OLD NEW``; ``--validate`` checks an existing file against
+the schema without re-running anything.  Both also read schema-1
+payloads, whose rows timed a baseline and an optimized arm: the
+optimized arm ran the default code, so its time is the row's time.
 
 All entropy derives from the explicit ``--seed``; no wall-clock state
 enters the payload (durations come from ``time.perf_counter``).
@@ -59,17 +56,19 @@ from repro.ml.boosting import GradientBoostingRegressor
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.gp import GaussianProcessRegressor
 from repro.ml.kernels import ConstantKernel, RBFKernel
-from repro.optimizers.base import History, Observation
+from repro.optimizers.base import History, Observation, Optimizer
 from repro.optimizers.bo import VanillaBO
 from repro.optimizers.smac import SMAC
 from repro.optimizers.tpe import TPE
 from repro.space import ConfigurationSpace
 from repro.space.parameter import CategoricalKnob, ContinuousKnob, IntegerKnob
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+#: Row key holding a cell's time, per schema version.
+_TIME_KEY = {1: "optimized_seconds", 2: "seconds"}
 DEFAULT_SIZES = (25, 50, 100, 200)
 SMOKE_SIZES = (10, 20)
-DEFAULT_OUT = "benchmarks/perf/BENCH_PR9.json"
+DEFAULT_OUT = "benchmarks/perf/BENCH_PR13.json"
 DEFAULT_SEED = 17
 DEFAULT_REPEATS = 3
 POOL_ROWS = 1280
@@ -133,7 +132,7 @@ def _best_of(repeats: int, trial: Callable[[], float]) -> float:
 # ----------------------------------------------------------------------
 # per-operation trials — each returns elapsed seconds for one execution
 # ----------------------------------------------------------------------
-def _gp_fit_seconds(n: int, seed: int, accelerated: bool) -> float:
+def _gp_fit_seconds(n: int, seed: int) -> float:
     rng = np.random.default_rng(seed)
     X = rng.random((n, GP_DIMS))
     y = np.sin(3.0 * X[:, 0]) + X[:, 1] ** 2 + 0.1 * rng.standard_normal(n)
@@ -142,14 +141,13 @@ def _gp_fit_seconds(n: int, seed: int, accelerated: bool) -> float:
         noise=1e-4,
         n_restarts=1,
         seed=seed,
-        cache_distances=accelerated,
     )
     start = perf_counter()
     gp.fit(X, y)
     return perf_counter() - start
 
 
-def _gp_predict_seconds(n: int, seed: int, accelerated: bool) -> float:
+def _gp_predict_seconds(n: int, seed: int) -> float:
     rng = np.random.default_rng(seed)
     X = rng.random((n, GP_DIMS))
     y = np.sin(3.0 * X[:, 0]) + 0.1 * rng.standard_normal(n)
@@ -158,7 +156,6 @@ def _gp_predict_seconds(n: int, seed: int, accelerated: bool) -> float:
         noise=1e-4,
         n_restarts=0,
         seed=seed,
-        cache_distances=accelerated,
     )
     gp.fit(X, y)
     X_test = rng.random((PREDICT_ROWS, GP_DIMS))
@@ -168,37 +165,34 @@ def _gp_predict_seconds(n: int, seed: int, accelerated: bool) -> float:
 
 
 def _candidate_pool_seconds(
-    space: ConfigurationSpace, rows: int, seed: int, accelerated: bool
+    space: ConfigurationSpace, rows: int, seed: int
 ) -> float:
     rng = np.random.default_rng(seed)
     U = rng.random((rows, space.n_dims))
     start = perf_counter()
-    if accelerated:
-        space.snap_many(U)
-    else:
-        space.encode_many([space.decode(row) for row in U])
+    space.snap_many(U)
     return perf_counter() - start
 
 
-def _bo_iteration_seconds(
-    space: ConfigurationSpace, n: int, seed: int, accelerated: bool
-) -> float:
-    history = _synthetic_history(space, n, seed)
-    if accelerated:
-        optimizer = VanillaBO(
-            space, seed=seed, accelerated=True, incremental=True, refit_every=5
-        )
-    else:
-        optimizer = VanillaBO(space, seed=seed, accelerated=False, full_refit=True)
-    # Untimed warm-up suggestion establishes the surrogate, so the timed
-    # call measures the steady state (for the optimized arm: one O(n^2)
-    # incremental append instead of a from-scratch hyperparameter fit).
+def _timed_suggest(optimizer: Optimizer, space: ConfigurationSpace, history: History) -> float:
+    """Time one suggest after an untimed warm-up one.
+
+    The warm-up grows the history from ``n`` to ``n + 1`` observations,
+    the size every tracked payload has timed.
+    """
     config = optimizer.suggest(history)
     score = _surface_score(space.encode(config))
     history.append(Observation(config=config, objective=score, score=score))
     start = perf_counter()
     optimizer.suggest(history)
     return perf_counter() - start
+
+
+def _bo_iteration_seconds(
+    space: ConfigurationSpace, n: int, seed: int
+) -> float:
+    history = _synthetic_history(space, n, seed)
+    return _timed_suggest(VanillaBO(space, seed=seed), space, history)
 
 
 def _forest_data(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -208,7 +202,7 @@ def _forest_data(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def _bench_forest(seed: int, accelerated: bool) -> RandomForestRegressor:
+def _bench_forest(seed: int) -> RandomForestRegressor:
     """SMAC's surrogate shape (see ``SMAC._fit_surrogate``)."""
     return RandomForestRegressor(
         n_estimators=20,
@@ -217,25 +211,20 @@ def _bench_forest(seed: int, accelerated: bool) -> RandomForestRegressor:
         min_samples_split=3,
         bootstrap=True,
         seed=seed,
-        accelerated=accelerated,
     )
 
 
-def _forest_fit_seconds(n: int, seed: int, accelerated: bool) -> float:
+def _forest_fit_seconds(n: int, seed: int) -> float:
     X, y = _forest_data(n, seed)
-    forest = _bench_forest(seed, accelerated)
+    forest = _bench_forest(seed)
     start = perf_counter()
     forest.fit(X, y)
     return perf_counter() - start
 
 
-def _forest_predict_seconds(n: int, rows: int, seed: int, accelerated: bool) -> float:
-    # The trees are identical in both arms (bit-identity is tested), so
-    # fit once on the fast path and flip the flag for the baseline
-    # timing arm; only prediction is timed.
+def _forest_predict_seconds(n: int, rows: int, seed: int) -> float:
     X, y = _forest_data(n, seed)
-    forest = _bench_forest(seed, True).fit(X, y)
-    forest.accelerated = accelerated
+    forest = _bench_forest(seed).fit(X, y)
     X_test = np.random.default_rng(seed + 1).random((rows, FOREST_DIMS))
     forest.predict_with_std(X_test)  # untimed warm-up (packs trees, loads kernel)
     start = perf_counter()
@@ -243,7 +232,7 @@ def _forest_predict_seconds(n: int, rows: int, seed: int, accelerated: bool) -> 
     return perf_counter() - start
 
 
-def _gbm_fit_seconds(n: int, seed: int, accelerated: bool) -> float:
+def _gbm_fit_seconds(n: int, seed: int) -> float:
     X, y = _forest_data(n, seed)
     # The tuning benchmark's GB surrogate config (Table 9).
     gbm = GradientBoostingRegressor(
@@ -251,7 +240,6 @@ def _gbm_fit_seconds(n: int, seed: int, accelerated: bool) -> float:
         learning_rate=0.08,
         max_depth=4,
         seed=seed,
-        accelerated=accelerated,
     )
     start = perf_counter()
     gbm.fit(X, y)
@@ -259,31 +247,20 @@ def _gbm_fit_seconds(n: int, seed: int, accelerated: bool) -> float:
 
 
 def _smac_iteration_seconds(
-    space: ConfigurationSpace, n: int, seed: int, accelerated: bool
+    space: ConfigurationSpace, n: int, seed: int
 ) -> float:
     history = _synthetic_history(space, n, seed)
     # random_interleave_prob=0 so the timed call always takes the
     # model-based path (an interleaved iteration is a no-op to time).
-    optimizer = SMAC(space, seed=seed, random_interleave_prob=0.0, accelerated=accelerated)
-    config = optimizer.suggest(history)  # untimed warm-up
-    score = _surface_score(space.encode(config))
-    history.append(Observation(config=config, objective=score, score=score))
-    start = perf_counter()
-    optimizer.suggest(history)
-    return perf_counter() - start
+    optimizer = SMAC(space, seed=seed, random_interleave_prob=0.0)
+    return _timed_suggest(optimizer, space, history)
 
 
 def _tpe_iteration_seconds(
-    space: ConfigurationSpace, n: int, seed: int, accelerated: bool
+    space: ConfigurationSpace, n: int, seed: int
 ) -> float:
     history = _synthetic_history(space, n, seed)
-    optimizer = TPE(space, seed=seed, accelerated=accelerated)
-    config = optimizer.suggest(history)  # untimed warm-up
-    score = _surface_score(space.encode(config))
-    history.append(Observation(config=config, objective=score, score=score))
-    start = perf_counter()
-    optimizer.suggest(history)
-    return perf_counter() - start
+    return _timed_suggest(TPE(space, seed=seed), space, history)
 
 
 # ----------------------------------------------------------------------
@@ -294,54 +271,36 @@ def run_bench(
     pool_rows: int = POOL_ROWS,
     smoke: bool = False,
 ) -> dict[str, Any]:
-    """Run every (operation, size) cell in both arms; return the payload."""
+    """Run every (operation, size) cell; return the payload."""
     space = bench_space()
     sizes = tuple(int(n) for n in sizes)
     results: list[dict[str, Any]] = []
 
-    def cell(op: str, n: int, trial: Callable[[bool], float]) -> None:
-        baseline = _best_of(repeats, lambda: trial(False))
-        optimized = _best_of(repeats, lambda: trial(True))
-        results.append(
-            {
-                "op": op,
-                "n": n,
-                "baseline_seconds": baseline,
-                "optimized_seconds": optimized,
-                "speedup": baseline / optimized if optimized > 0 else float("inf"),
-            }
-        )
+    def cell(op: str, n: int, trial: Callable[[], float]) -> None:
+        results.append({"op": op, "n": n, "seconds": _best_of(repeats, trial)})
 
     for n in sizes:
-        cell("gp_fit", n, lambda acc, n=n: _gp_fit_seconds(n, seed, acc))
-        cell("gp_predict", n, lambda acc, n=n: _gp_predict_seconds(n, seed, acc))
-        cell("bo_iteration", n, lambda acc, n=n: _bo_iteration_seconds(space, n, seed, acc))
-        cell("forest_fit", n, lambda acc, n=n: _forest_fit_seconds(n, seed, acc))
-        cell("gbm_fit", n, lambda acc, n=n: _gbm_fit_seconds(n, seed, acc))
-        cell("smac_iteration", n, lambda acc, n=n: _smac_iteration_seconds(space, n, seed, acc))
-        cell("tpe_iteration", n, lambda acc, n=n: _tpe_iteration_seconds(space, n, seed, acc))
+        cell("gp_fit", n, lambda n=n: _gp_fit_seconds(n, seed))
+        cell("gp_predict", n, lambda n=n: _gp_predict_seconds(n, seed))
+        cell("bo_iteration", n, lambda n=n: _bo_iteration_seconds(space, n, seed))
+        cell("forest_fit", n, lambda n=n: _forest_fit_seconds(n, seed))
+        cell("gbm_fit", n, lambda n=n: _gbm_fit_seconds(n, seed))
+        cell("smac_iteration", n, lambda n=n: _smac_iteration_seconds(space, n, seed))
+        cell("tpe_iteration", n, lambda n=n: _tpe_iteration_seconds(space, n, seed))
     cell(
         "candidate_pool",
         pool_rows,
-        lambda acc: _candidate_pool_seconds(space, pool_rows, seed, acc),
+        lambda: _candidate_pool_seconds(space, pool_rows, seed),
     )
     cell(
         "forest_predict",
         pool_rows,
-        lambda acc: _forest_predict_seconds(max(sizes), pool_rows, seed, acc),
+        lambda: _forest_predict_seconds(max(sizes), pool_rows, seed),
     )
-
-    summary: dict[str, float] = {}
-    for op in OPS:
-        cells = [r for r in results if r["op"] == op]
-        if cells:
-            largest = max(cells, key=lambda r: r["n"])
-            summary[f"{op}_n{largest['n']}_speedup"] = largest["speedup"]
 
     return {
         "schema_version": SCHEMA_VERSION,
         "benchmark": "repro.perf.bench",
-        "pr": "PR9",
         "seed": seed,
         "smoke": smoke,
         "repeats": repeats,
@@ -353,7 +312,6 @@ def run_bench(
             "scipy": scipy.__version__,
         },
         "results": results,
-        "summary": summary,
     }
 
 
@@ -377,8 +335,12 @@ def validate_payload(payload: Any) -> list[str]:
             return None
         return payload[key]
 
-    if payload.get("schema_version") != SCHEMA_VERSION:
-        errors.append(f"schema_version must be {SCHEMA_VERSION}")
+    version = payload.get("schema_version")
+    if isinstance(version, int) and version in _TIME_KEY:
+        time_key = _TIME_KEY[version]
+    else:
+        errors.append(f"schema_version must be one of {sorted(_TIME_KEY)}")
+        time_key = _TIME_KEY[SCHEMA_VERSION]
     require("seed", int)
     require("smoke", bool)
     require("repeats", int)
@@ -403,15 +365,9 @@ def validate_payload(payload: Any) -> list[str]:
                 errors.append(f"results[{i}].op {row.get('op')!r} not in {OPS}")
             if not (isinstance(row.get("n"), int) and row["n"] > 0):
                 errors.append(f"results[{i}].n must be a positive integer")
-            for key in ("baseline_seconds", "optimized_seconds", "speedup"):
-                value = row.get(key)
-                if not (isinstance(value, (int, float)) and value > 0):
-                    errors.append(f"results[{i}].{key} must be a positive number")
-    summary = require("summary", dict)
-    if summary is not None:
-        for key, value in summary.items():
-            if not isinstance(value, (int, float)):
-                errors.append(f"summary.{key} must be a number")
+            value = row.get(time_key)
+            if not (isinstance(value, (int, float)) and value > 0):
+                errors.append(f"results[{i}].{time_key} must be a positive number")
     return errors
 
 
@@ -423,7 +379,7 @@ def compare_payloads(
     Returns ``(errors, rows)``.  Errors cover schema violations in
     either payload, benchmark-suite mismatches, and an empty cell
     intersection; rows (one per common ``(op, n)`` cell, in ``OPS``
-    order) carry both optimized timings and their ratio.  Ops present in
+    order) carry both timings and their ratio.  Ops present in
     only one payload are fine — trajectories grow suites over time — as
     long as at least one cell overlaps.
     """
@@ -436,38 +392,38 @@ def compare_payloads(
         return [
             f"benchmark suite mismatch: {old.get('benchmark')!r} vs {new.get('benchmark')!r}"
         ], []
-    old_cells = {(r["op"], r["n"]): r for r in old["results"]}
-    new_cells = {(r["op"], r["n"]): r for r in new["results"]}
+    old_cells = _cell_seconds(old)
+    new_cells = _cell_seconds(new)
     common = sorted(
         set(old_cells) & set(new_cells), key=lambda key: (OPS.index(key[0]), key[1])
     )
     if not common:
         return ["no common (op, n) cells between the payloads"], []
-    rows = []
-    for key in common:
-        before, after = old_cells[key], new_cells[key]
-        rows.append(
-            {
-                "op": key[0],
-                "n": key[1],
-                "old_optimized_seconds": before["optimized_seconds"],
-                "new_optimized_seconds": after["optimized_seconds"],
-                "ratio": before["optimized_seconds"] / after["optimized_seconds"]
-                if after["optimized_seconds"] > 0
-                else float("inf"),
-            }
-        )
+    rows = [
+        {
+            "op": key[0],
+            "n": key[1],
+            "old_seconds": old_cells[key],
+            "new_seconds": new_cells[key],
+            "ratio": old_cells[key] / new_cells[key],
+        }
+        for key in common
+    ]
     return [], rows
 
 
+def _cell_seconds(payload: dict[str, Any]) -> dict[tuple[str, int], float]:
+    """``(op, n) -> seconds`` of a schema-valid payload of any version."""
+    time_key = _TIME_KEY[payload["schema_version"]]
+    return {(r["op"], r["n"]): r[time_key] for r in payload["results"]}
+
+
 def _format_compare(rows: list[dict[str, Any]]) -> str:
-    lines = [
-        f"{'op':<16}{'n':>7}{'old opt (s)':>15}{'new opt (s)':>15}{'old/new':>10}",
-    ]
+    lines = [f"{'op':<16}{'n':>7}{'old (s)':>15}{'new (s)':>15}{'old/new':>10}"]
     for row in rows:
         lines.append(
             f"{row['op']:<16}{row['n']:>7}"
-            f"{row['old_optimized_seconds']:>15.6f}{row['new_optimized_seconds']:>15.6f}"
+            f"{row['old_seconds']:>15.6f}{row['new_seconds']:>15.6f}"
             f"{row['ratio']:>9.2f}x"
         )
     return "\n".join(lines)
@@ -477,14 +433,10 @@ def _format_report(payload: dict[str, Any]) -> str:
     lines = [
         f"repro.perf.bench (seed={payload['seed']}, repeats={payload['repeats']}, "
         f"smoke={payload['smoke']})",
-        f"{'op':<16}{'n':>7}{'baseline (s)':>15}{'optimized (s)':>15}{'speedup':>10}",
+        f"{'op':<16}{'n':>7}{'seconds':>15}",
     ]
     for row in payload["results"]:
-        lines.append(
-            f"{row['op']:<16}{row['n']:>7}"
-            f"{row['baseline_seconds']:>15.6f}{row['optimized_seconds']:>15.6f}"
-            f"{row['speedup']:>9.2f}x"
-        )
+        lines.append(f"{row['op']:<16}{row['n']:>7}{row['seconds']:>15.6f}")
     return "\n".join(lines)
 
 

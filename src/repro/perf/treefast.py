@@ -1,4 +1,4 @@
-"""Tree-ensemble fast-path primitives (perf layer 2b).
+"""Tree-ensemble primitives: rank-key presorting and packed prediction.
 
 Machinery shared by :mod:`repro.ml.tree`, :mod:`repro.ml.forest`, and
 :mod:`repro.ml.boosting`:

@@ -206,9 +206,9 @@ class GuardedObjective:
         cfg = config if isinstance(config, Configuration) else Configuration(dict(config))
         encoded = self._space.encode(cfg)
 
-        region = self._find_quarantine(encoded)
-        if region is not None:
-            return self._short_circuit(cfg, region)
+        index = self._find_quarantine(encoded)
+        if index is not None:
+            return self._short_circuit(cfg, index)
 
         if self._breaker_open and not self._health_probe():
             # Breaker stays open: fail fast without touching the config.
@@ -329,22 +329,28 @@ class GuardedObjective:
     # ------------------------------------------------------------------
     # quarantine
     # ------------------------------------------------------------------
-    def _find_quarantine(self, encoded: np.ndarray) -> QuarantineRegion | None:
+    def _find_quarantine(self, encoded: np.ndarray) -> int | None:
+        """Index of the first quarantined region containing ``encoded``.
+
+        An index rather than the region: regions hold ndarrays, so
+        ``list.index`` (which compares with ``==``) cannot look one up.
+        """
         if not self.policy.quarantine_enabled:
             return None
-        for region in self.quarantine_regions:
+        for index, region in enumerate(self.quarantine_regions):
             if region.contains(encoded):
-                return region
+                return index
         return None
 
-    def _short_circuit(self, cfg: Configuration, region: QuarantineRegion) -> Observation:
+    def _short_circuit(self, cfg: Configuration, index: int) -> Observation:
         """Immediate clamped failure: the region is known to crash."""
+        region = self.quarantine_regions[index]
         self.n_short_circuits += 1
         region.n_short_circuits += 1
         self.quarantine_log.append(
             {
                 "event": "short_circuit",
-                "region": self.quarantine_regions.index(region),
+                "region": index,
                 "n_short_circuits": region.n_short_circuits,
             }
         )

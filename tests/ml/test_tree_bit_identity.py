@@ -1,20 +1,28 @@
-"""Bit-identity proofs for the tree-ensemble fast path (perf layer 2b).
+"""Bit-identity proofs for the tree-ensemble fast path.
 
-The accelerated CART/forest/GBM implementations and the optimizers that
-ride on them must be *byte-for-byte* interchangeable with the scalar
-reference paths — same trees, same splits, same predictions — so that
-``accelerated`` is purely a performance switch.  These tests pin that
-contract:
+The CART/forest/GBM implementations and the optimizers that ride on them
+must be *byte-for-byte* interchangeable with the scalar references built
+inside these tests — same trees, same splits, same predictions.  The
+references are ``DecisionTreeRegressor._fit_scalar`` (per-node argsort),
+per-tree ``DecisionTreeRegressor.predict`` calls, and
+``_NumericParzen.log_pdf`` (per-dimension KDE); no option of the library
+selects them.  These tests pin that contract:
 
 - structural identity of fitted trees across seeds, shapes, tie-heavy
   data, and ``max_features`` modes — including a pinned near-tie case
-  where the scalar arm's libm-pow rounding decides the chosen feature;
+  where the scalar reference's libm-pow rounding decides the chosen
+  feature;
+- the primitives the fast path rests on: rank-key subset sorts equal
+  fresh sorts, ``train_node_ids_`` equals ``apply`` on the training
+  rows, and the batched KDE pass equals the per-dimension one;
 - a brute-force SSE check of the (vectorized) split search;
 - the conditional per-node label centering that rescues large label
   offsets without touching well-scaled trajectories;
-- forest / GBM / SMAC / TPE outputs equal across arms, worker counts,
-  and descent engines (native kernel vs numpy).
+- forest / GBM / SMAC / TPE outputs equal to their references, and
+  equal across descent engines (native kernel vs numpy).
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,9 +32,11 @@ from hypothesis import strategies as st
 from repro.ml.boosting import GradientBoostingRegressor
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.tree import DecisionTreeRegressor
+from repro.optimizers import smac as smac_module
+from repro.optimizers import tpe as tpe_module
 from repro.optimizers.base import History, Observation
 from repro.optimizers.smac import SMAC
-from repro.optimizers.tpe import TPE
+from repro.optimizers.tpe import TPE, _batched_numeric_log_pdf, _NumericParzen
 from repro.perf import treefast
 from repro.space import (
     CategoricalKnob,
@@ -51,6 +61,13 @@ def _assert_trees_identical(a: DecisionTreeRegressor, b: DecisionTreeRegressor) 
     for name in _TREE_ARRAYS:
         lhs, rhs = getattr(a, name), getattr(b, name)
         assert lhs.tobytes() == rhs.tobytes(), f"tree array {name!r} differs"
+
+
+def _scalar_tree(X, y, **params) -> DecisionTreeRegressor:
+    """The per-node argsort reference fitted on the same data."""
+    return DecisionTreeRegressor(**params)._fit_scalar(
+        np.asarray(X, dtype=float), np.asarray(y, dtype=float)
+    )
 
 
 def _make_data(kind: str, n: int, d: int, seed: int):
@@ -82,15 +99,17 @@ class TestTreeStructuralIdentity:
         params = dict(
             max_features=max_features, min_samples_split=3, min_samples_leaf=2, seed=seed
         )
-        fast = DecisionTreeRegressor(accelerated=True, **params).fit(X, y)
-        ref = DecisionTreeRegressor(accelerated=False, **params).fit(X, y)
-        _assert_trees_identical(fast, ref)
+        fast = DecisionTreeRegressor(**params).fit(X, y)
+        _assert_trees_identical(fast, _scalar_tree(X, y, **params))
+        # The fit-time leaf partition is where ``apply`` routes the
+        # training rows (GBM's in-sample updates rely on it).
+        assert fast.train_node_ids_.tobytes() == fast.apply(X).tobytes()
 
     @pytest.mark.parametrize("max_depth", [1, 3, None])
     def test_depth_limits_and_prediction_identity(self, max_depth):
         X, y = _make_data("smooth", 90, 4, 11)
         fast = DecisionTreeRegressor(max_depth=max_depth, seed=1).fit(X, y)
-        ref = DecisionTreeRegressor(max_depth=max_depth, seed=1, accelerated=False).fit(X, y)
+        ref = _scalar_tree(X, y, max_depth=max_depth, seed=1)
         _assert_trees_identical(fast, ref)
         X_test = np.random.default_rng(2).random((50, 4))
         assert fast.predict(X_test).tobytes() == ref.predict(X_test).tobytes()
@@ -101,9 +120,15 @@ class TestTreeStructuralIdentity:
         with_order = DecisionTreeRegressor(seed=5).fit(X, y, sort_order=order)
         without = DecisionTreeRegressor(seed=5).fit(X, y)
         _assert_trees_identical(with_order, without)
+        # Rank keys re-sort a bootstrap resample (duplicate rows included)
+        # into exactly the fresh per-feature stable sort of that resample.
+        rows = np.random.default_rng(4).integers(0, len(X), size=len(X))
+        assert len(np.unique(rows)) < len(rows)
+        subset = treefast.subset_sort_orders(treefast.feature_sort_ranks(X), rows)
+        assert subset.tobytes() == treefast.full_sort_orders(X[rows]).tobytes()
 
     def test_near_tie_feature_choice_matches_scalar_pow(self):
-        # Regression: the scalar arm squares each feature's label total
+        # Regression: the scalar reference squares each feature's label total
         # as a numpy *scalar*, which routes through libm pow and can
         # round one ULP away from the exact product that an array square
         # computes.  On this bootstrap resample (draw 17 of a 20-draw
@@ -119,9 +144,8 @@ class TestTreeStructuralIdentity:
             tree_seed = int(frng.integers(0, 2**31 - 1))
             rows = frng.integers(0, 120, size=120)
         params = dict(max_features=0.8, min_samples_split=3, seed=tree_seed)
-        fast = DecisionTreeRegressor(accelerated=True, **params).fit(X[rows], y[rows])
-        ref = DecisionTreeRegressor(accelerated=False, **params).fit(X[rows], y[rows])
-        _assert_trees_identical(fast, ref)
+        fast = DecisionTreeRegressor(**params).fit(X[rows], y[rows])
+        _assert_trees_identical(fast, _scalar_tree(X[rows], y[rows], **params))
 
 
 def _brute_force_best_sse_reduction(X, y, min_leaf):
@@ -152,13 +176,8 @@ class TestSplitSearchAgainstBruteForce:
         kind = ["smooth", "ties", "constant", "duplicates"][seed % 4]
         X, y = _make_data(kind, n, d, seed)
         min_leaf = int(rng.integers(1, 3))
-        fast = DecisionTreeRegressor(
-            max_depth=1, min_samples_leaf=min_leaf, accelerated=True
-        ).fit(X, y)
-        ref = DecisionTreeRegressor(
-            max_depth=1, min_samples_leaf=min_leaf, accelerated=False
-        ).fit(X, y)
-        _assert_trees_identical(fast, ref)
+        fast = DecisionTreeRegressor(max_depth=1, min_samples_leaf=min_leaf).fit(X, y)
+        _assert_trees_identical(fast, _scalar_tree(X, y, max_depth=1, min_samples_leaf=min_leaf))
         brute = _brute_force_best_sse_reduction(X, y, min_leaf)
         scale = max(1.0, float(np.sum(y**2)))
         if fast.feature[0] < 0:
@@ -193,14 +212,17 @@ class TestLargeOffsetCentering:
         assert _needs_centering(y + 1e8)        # offset >> spread
         assert not _needs_centering(y - y.mean())
 
-    @pytest.mark.parametrize("accelerated", [True, False])
-    def test_split_survives_huge_label_offset(self, accelerated):
+    @pytest.mark.parametrize("scalar", [False, True])
+    def test_split_survives_huge_label_offset(self, scalar):
         rng = np.random.default_rng(42)
         n = 120
         X = rng.random((n, 3))
         signal = np.where(X[:, 1] > 0.6, 2.0, 0.0)
         y = 1e8 + signal + 0.01 * rng.standard_normal(n)
-        tree = DecisionTreeRegressor(max_depth=1, accelerated=accelerated).fit(X, y)
+        if scalar:
+            tree = _scalar_tree(X, y, max_depth=1)
+        else:
+            tree = DecisionTreeRegressor(max_depth=1).fit(X, y)
         assert tree.feature[0] == 1
         # Brute-force scan of the (centered) SSE objective on feature 1.
         xs = np.unique(X[:, 1])
@@ -220,16 +242,16 @@ class TestLargeOffsetCentering:
         assert tree.threshold[0] == pytest.approx(best_thr)
 
     def test_huge_offset_tree_bit_identity(self):
-        # The centered branch must itself be bit-identical across arms:
-        # a deep tree over offset labels exercises the centered matrix
-        # scan against the centered scalar scan node for node.
+        # The centered branch must itself be bit-identical to the scalar
+        # reference: a deep tree over offset labels exercises the
+        # centered matrix scan against the centered scalar scan node for
+        # node.
         rng = np.random.default_rng(3)
         X = rng.random((100, 6))
         y = 1e8 + X @ rng.standard_normal(6) + 0.01 * rng.standard_normal(100)
         params = dict(max_features=0.8, min_samples_split=3, min_samples_leaf=2, seed=21)
-        fast = DecisionTreeRegressor(accelerated=True, **params).fit(X, y)
-        ref = DecisionTreeRegressor(accelerated=False, **params).fit(X, y)
-        _assert_trees_identical(fast, ref)
+        fast = DecisionTreeRegressor(**params).fit(X, y)
+        _assert_trees_identical(fast, _scalar_tree(X, y, **params))
 
     def test_offset_does_not_change_root_split(self):
         # Centering does not make trees bit-equal across offsets (the
@@ -244,6 +266,66 @@ class TestLargeOffsetCentering:
         assert base.threshold[0] == shifted.threshold[0]
 
 
+def _reference_forest_trees(X, y, forest: RandomForestRegressor) -> list:
+    """Per-tree ``_fit_scalar`` fits on bootstrap rows drawn in the
+    forest's order: per tree, its seed and then its rows."""
+    assert forest.bootstrap
+    rng = np.random.default_rng(forest.seed)
+    trees = []
+    for _ in range(forest.n_estimators):
+        tree_seed = int(rng.integers(0, 2**31 - 1))
+        rows = rng.integers(0, len(X), size=len(X))
+        trees.append(
+            _scalar_tree(
+                X[rows],
+                y[rows],
+                max_depth=forest.max_depth,
+                min_samples_split=forest.min_samples_split,
+                min_samples_leaf=forest.min_samples_leaf,
+                max_features=forest.max_features,
+                seed=tree_seed,
+            )
+        )
+    return trees
+
+
+class _ReferenceForest(RandomForestRegressor):
+    """A forest of ``_fit_scalar`` trees predicting tree by tree."""
+
+    def fit(self, X, y):
+        X = np.asarray(X, dtype=float)
+        self.trees_ = _reference_forest_trees(X, np.asarray(y, dtype=float), self)
+        self.n_features_ = X.shape[1]
+        return self
+
+    def tree_predictions(self, X):
+        return np.array([tree.predict(X) for tree in self.trees_])
+
+
+def _reference_gbm_trees(X, y, gbm: GradientBoostingRegressor) -> list:
+    """Stagewise ``_fit_scalar`` trees whose residual updates re-descend
+    each new tree with ``predict``."""
+    rng = np.random.default_rng(gbm.seed)
+    n = len(X)
+    current = np.full(n, float(y.mean()))
+    trees = []
+    for _ in range(gbm.n_estimators):
+        residual = y - current
+        params = dict(
+            max_depth=gbm.max_depth,
+            min_samples_leaf=gbm.min_samples_leaf,
+            seed=int(rng.integers(0, 2**31 - 1)),
+        )
+        if gbm.subsample < 1.0:
+            idx = rng.choice(n, size=max(2, int(round(gbm.subsample * n))), replace=False)
+            tree = _scalar_tree(X[idx], residual[idx], **params)
+        else:
+            tree = _scalar_tree(X, residual, **params)
+        current += gbm.learning_rate * tree.predict(X)
+        trees.append(tree)
+    return trees
+
+
 @pytest.fixture
 def forest_data():
     rng = np.random.default_rng(5)
@@ -255,39 +337,38 @@ def forest_data():
 class TestEnsembleIdentity:
     def test_forest_bit_identity(self, forest_data):
         X, y = forest_data
-        params = dict(n_estimators=12, max_features=0.8, min_samples_split=3, seed=2)
-        fast = RandomForestRegressor(accelerated=True, **params).fit(X, y)
-        ref = RandomForestRegressor(accelerated=False, **params).fit(X, y)
-        for a, b in zip(fast.trees_, ref.trees_):
+        forest = RandomForestRegressor(
+            n_estimators=12, max_features=0.8, min_samples_split=3, seed=2
+        ).fit(X, y)
+        ref = _ReferenceForest(
+            n_estimators=12, max_features=0.8, min_samples_split=3, seed=2
+        ).fit(X, y)
+        for a, b in zip(forest.trees_, ref.trees_, strict=True):
             _assert_trees_identical(a, b)
         X_test = np.random.default_rng(6).random((200, 7))
-        m1, s1 = fast.predict_with_std(X_test)
+        m1, s1 = forest.predict_with_std(X_test)
         m2, s2 = ref.predict_with_std(X_test)
         assert m1.tobytes() == m2.tobytes()
         assert s1.tobytes() == s2.tobytes()
-        assert fast.predict(X_test).tobytes() == ref.predict(X_test).tobytes()
-
-    def test_forest_n_jobs_matches_serial(self, forest_data):
-        X, y = forest_data
-        params = dict(n_estimators=6, max_features="sqrt", seed=3)
-        serial = RandomForestRegressor(**params).fit(X, y)
-        fanned = RandomForestRegressor(n_jobs=2, **params).fit(X, y)
-        for a, b in zip(serial.trees_, fanned.trees_):
-            _assert_trees_identical(a, b)
-        X_test = np.random.default_rng(1).random((40, 7))
-        assert serial.predict(X_test).tobytes() == fanned.predict(X_test).tobytes()
+        assert forest.predict(X_test).tobytes() == ref.predict(X_test).tobytes()
 
     @pytest.mark.parametrize("subsample", [1.0, 0.6])
     def test_gbm_bit_identity(self, forest_data, subsample):
         X, y = forest_data
-        params = dict(n_estimators=25, max_depth=3, subsample=subsample, seed=4)
-        fast = GradientBoostingRegressor(accelerated=True, **params).fit(X, y)
-        ref = GradientBoostingRegressor(accelerated=False, **params).fit(X, y)
-        for a, b in zip(fast.trees_, ref.trees_):
+        gbm = GradientBoostingRegressor(
+            n_estimators=25, max_depth=3, subsample=subsample, seed=4
+        ).fit(X, y)
+        ref_trees = _reference_gbm_trees(X, y, gbm)
+        for a, b in zip(gbm.trees_, ref_trees, strict=True):
             _assert_trees_identical(a, b)
         X_test = np.random.default_rng(8).random((120, 7))
-        assert fast.predict(X_test).tobytes() == ref.predict(X_test).tobytes()
-        assert fast.staged_predict(X_test).tobytes() == ref.staged_predict(X_test).tobytes()
+        stages = np.empty((len(ref_trees), len(X_test)))
+        out = np.full(len(X_test), float(y.mean()))
+        for i, tree in enumerate(ref_trees):
+            out = out + gbm.learning_rate * tree.predict(X_test)
+            stages[i] = out
+        assert gbm.predict(X_test).tobytes() == out.tobytes()
+        assert gbm.staged_predict(X_test).tobytes() == stages.tobytes()
 
     def test_numpy_engine_matches_native(self, forest_data, monkeypatch):
         X, y = forest_data
@@ -325,15 +406,43 @@ def _drive(optimizer, space, iterations: int) -> list[tuple]:
     return sequence
 
 
+def _per_dimension_log_pdf(draws, centers, bandwidths):
+    """``_batched_numeric_log_pdf`` as one ``_NumericParzen.log_pdf`` call
+    per numeric dimension."""
+    return np.array(
+        [
+            _NumericParzen.log_pdf(SimpleNamespace(centers=c, bandwidth=b), column)
+            for column, c, b in zip(draws.T, centers, bandwidths)
+        ]
+    )
+
+
 class TestOptimizerIdentity:
-    def test_smac_suggest_sequence_identical(self):
+    def test_smac_suggest_sequence_identical(self, monkeypatch):
         space = _mixed_space()
-        fast = _drive(SMAC(space, seed=31, accelerated=True), space, 12)
-        ref = _drive(SMAC(space, seed=31, accelerated=False), space, 12)
+        fast = _drive(SMAC(space, seed=31), space, 12)
+        monkeypatch.setattr(smac_module, "RandomForestRegressor", _ReferenceForest)
+        ref = _drive(SMAC(space, seed=31), space, 12)
         assert fast == ref
 
-    def test_tpe_suggest_sequence_identical(self):
+    def test_tpe_suggest_sequence_identical(self, monkeypatch):
         space = _mixed_space()
-        fast = _drive(TPE(space, seed=13, accelerated=True), space, 12)
-        ref = _drive(TPE(space, seed=13, accelerated=False), space, 12)
+        fast = _drive(TPE(space, seed=13), space, 12)
+        monkeypatch.setattr(tpe_module, "_batched_numeric_log_pdf", _per_dimension_log_pdf)
+        ref = _drive(TPE(space, seed=13), space, 12)
         assert fast == ref
+
+    def test_batched_numeric_log_pdf_rows_match_log_pdf(self):
+        rng = np.random.default_rng(17)
+        parzens = [
+            _NumericParzen(sample, rng)
+            for sample in (rng.random(6), np.full(6, 0.5), rng.random(6) ** 4, np.zeros(6))
+        ]
+        draws = np.stack([p.sample(64) for p in parzens], axis=1)
+        rows = _batched_numeric_log_pdf(
+            draws,
+            np.stack([p.centers for p in parzens]),
+            np.array([p.bandwidth for p in parzens]),
+        )
+        for j, parzen in enumerate(parzens):
+            assert rows[j].tobytes() == parzen.log_pdf(draws[:, j]).tobytes()

@@ -35,23 +35,19 @@ def test_payload_has_no_wall_clock_state(payload):
         assert banned not in text
 
 
-def test_summary_reports_largest_size(payload):
-    assert "bo_iteration_n6_speedup" in payload["summary"]
-    assert "candidate_pool_n32_speedup" in payload["summary"]
-
-
 @pytest.mark.parametrize(
     "mutate, fragment",
     [
-        (lambda p: p.update(schema_version=2), "schema_version"),
+        (lambda p: p.update(schema_version=99), "schema_version"),
         (lambda p: p.pop("seed"), "seed"),
         (lambda p: p.update(results=[]), "non-empty"),
         (lambda p: p["results"][0].update(op="warp_drive"), "op"),
-        (lambda p: p["results"][0].update(baseline_seconds=-1.0), "baseline_seconds"),
+        (lambda p: p["results"][0].update(seconds=-1.0), "seconds"),
+        # A schema-1 row carries its time as ``optimized_seconds``.
+        (lambda p: p.update(schema_version=1), "optimized_seconds"),
         (lambda p: p["results"][0].update(n="six"), ".n"),
         (lambda p: p.update(sizes=[0]), "sizes"),
         (lambda p: p["env"].pop("numpy"), "env.numpy"),
-        (lambda p: p["summary"].update(bogus="text"), "summary.bogus"),
     ],
 )
 def test_validator_catches_broken_payloads(payload, mutate, fragment):
@@ -90,7 +86,7 @@ def test_cli_validate_missing_file(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", ["BENCH_PR4.json", "BENCH_PR9.json"])
+@pytest.mark.parametrize("name", ["BENCH_PR4.json", "BENCH_PR9.json", "BENCH_PR13.json"])
 def test_tracked_payload_is_valid(name):
     """Committed trajectory payloads must always pass the current schema."""
     from pathlib import Path
@@ -101,17 +97,24 @@ def test_tracked_payload_is_valid(name):
 
 
 def test_tracked_trajectory_is_comparable():
-    """PR4 -> PR9 must diff cleanly: same suite, overlapping cells."""
+    """Consecutive tracked payloads must diff cleanly: same suite,
+    overlapping cells — across the schema-1 -> schema-2 step too, where
+    a schema-1 row's time is its ``optimized_seconds``."""
     from pathlib import Path
 
     perf_dir = Path(__file__).resolve().parents[2] / "benchmarks" / "perf"
-    old = json.loads((perf_dir / "BENCH_PR4.json").read_text())
-    new = json.loads((perf_dir / "BENCH_PR9.json").read_text())
-    errors, rows = bench.compare_payloads(old, new)
-    assert errors == []
-    compared_ops = {row["op"] for row in rows}
-    assert {"gp_fit", "gp_predict", "bo_iteration", "candidate_pool"} <= compared_ops
-    assert all(row["ratio"] > 0 for row in rows)
+    names = ["BENCH_PR4.json", "BENCH_PR9.json", "BENCH_PR13.json"]
+    payloads = [json.loads((perf_dir / name).read_text()) for name in names]
+    for old, new in zip(payloads, payloads[1:]):
+        errors, rows = bench.compare_payloads(old, new)
+        assert errors == []
+        compared_ops = {row["op"] for row in rows}
+        assert {"gp_fit", "gp_predict", "bo_iteration", "candidate_pool"} <= compared_ops
+        assert all(row["ratio"] > 0 for row in rows)
+    assert payloads[2]["schema_version"] == bench.SCHEMA_VERSION
+    old_cells = {(r["op"], r["n"]): r["optimized_seconds"] for r in payloads[1]["results"]}
+    _, rows = bench.compare_payloads(payloads[1], payloads[2])
+    assert all(row["old_seconds"] == old_cells[row["op"], row["n"]] for row in rows)
 
 
 # ----------------------------------------------------------------------

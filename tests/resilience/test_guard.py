@@ -159,8 +159,8 @@ def test_crash_is_never_retried(sysbench_space):
 # ----------------------------------------------------------------------
 # quarantine
 # ----------------------------------------------------------------------
-def _crashing_config(space, bp_gib):
-    config = dict(space.default_configuration())
+def _crashing_config(space, bp_gib, **overrides):
+    config = dict(space.default_configuration(), **overrides)
     config["innodb_buffer_pool_size"] = bp_gib * GIB
     return config
 
@@ -187,6 +187,22 @@ def test_quarantine_short_circuits_at_zero_simulated_cost(sysbench_space):
     assert inner.server.n_evaluations == calls_before  # inner never touched
     assert guarded.n_short_circuits == 1
     assert guarded.quarantine_log[-1]["event"] == "short_circuit"
+
+    # A second crash cluster far from the first becomes region 1, and a
+    # configuration inside it short-circuits against that region.
+    far = dict(sync_binlog=4096, innodb_thread_concurrency=1000, thread_cache_size=16384)
+    for bp in (30, 31, 32):
+        assert guarded(_crashing_config(sysbench_space, bp, **far)).simulated_seconds > 0.0
+    assert len(guarded.quarantine_regions) == 2
+    hit = guarded(_crashing_config(sysbench_space, 31, **far))
+    assert hit.failure_kind is FailureKind.CRASH
+    assert hit.simulated_seconds == 0.0
+    assert guarded.n_short_circuits == 2
+    assert guarded.quarantine_log[-1] == {
+        "event": "short_circuit",
+        "region": 1,
+        "n_short_circuits": 1,
+    }
 
 
 def test_quarantine_leaves_distant_configs_alone(sysbench_space):
