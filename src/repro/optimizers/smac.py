@@ -7,6 +7,13 @@ best configurations — the forest handles categorical knobs natively) and
 random configurations, with random interleaving for theoretical coverage.
 The forest surrogate scales to high-dimensional, heterogeneous spaces,
 which is why SMAC dominates the paper's large-space results (Table 7).
+
+Candidates are scored as unit rows and only the one kept becomes a
+:class:`Configuration`: the random challengers are one uniform draw
+snapped with :meth:`ConfigurationSpace.snap_many`, and each local-search
+step scores the rows of :meth:`ConfigurationSpace.neighbors`.  Both
+consume the optimizer's RNG stream exactly as sampling and encoding
+configurations one by one would, so suggestions are unchanged.
 """
 
 from __future__ import annotations
@@ -55,9 +62,8 @@ class SMAC(Optimizer):
         forest.fit(X, y)
         return forest
 
-    def _ei_of(self, forest: RandomForestRegressor, configs: list[Configuration], best: float) -> np.ndarray:
-        enc = self.space.encode_many(configs)
-        mean, std = forest.predict_with_std(enc)
+    def _ei_of(self, forest: RandomForestRegressor, X: np.ndarray, best: float) -> np.ndarray:
+        mean, std = forest.predict_with_std(X)
         return expected_improvement(mean, std, best)
 
     def _local_search(
@@ -78,17 +84,17 @@ class SMAC(Optimizer):
         # singleton calls cheap.
         for anchor in anchors:
             current = anchor
-            current_ei = float(self._ei_of(forest, [current], best)[0])
+            current_ei = float(self._ei_of(forest, self.space.encode_many([current]), best)[0])
             for _ in range(self.n_local_steps):
                 neighbors = self.space.neighbors(current, self.rng, n_continuous=4, stdev=0.1)
+                idx = np.arange(len(neighbors))
                 if len(neighbors) > 80:
                     idx = self.rng.choice(len(neighbors), size=80, replace=False)
-                    neighbors = [neighbors[i] for i in idx]
-                eis = self._ei_of(forest, neighbors, best)
+                eis = self._ei_of(forest, neighbors.rows[idx], best)
                 j = int(np.argmax(eis))
                 if eis[j] <= current_ei:
                     break
-                current, current_ei = neighbors[j], float(eis[j])
+                current, current_ei = neighbors.configuration(int(idx[j])), float(eis[j])
             results.append((current, current_ei))
         return results
 
@@ -100,9 +106,11 @@ class SMAC(Optimizer):
         forest = self._fit_surrogate(X, y)
         best = max(o.score for o in succ)
         scored = self._local_search(forest, history, best)
-        randoms = self.space.sample_configurations(self.n_random_candidates, self.rng)
-        random_eis = self._ei_of(forest, randoms, best)
+        # The random challengers are sample_configurations' draw, scored
+        # as unit rows; only the winner is decoded.
+        U = self.rng.random((self.n_random_candidates, self.space.n_dims))
+        random_eis = self._ei_of(forest, self.space.snap_many(U), best)
         j = int(np.argmax(random_eis))
-        scored.append((randoms[j], float(random_eis[j])))
+        scored.append((self.space.decode(U[j]), float(random_eis[j])))
         choice = max(scored, key=lambda t: t[1])[0]
         return self._dedupe(choice, history)

@@ -5,6 +5,11 @@ and the *unit* interval ``[0, 1]`` used internally by optimizers.  Knobs with
 wide numeric ranges (e.g. ``innodb_buffer_pool_size`` spanning MBs to tens of
 GBs) support log-scaled unit mappings so that Latin Hypercube and BO
 candidates cover the range sensibly.
+
+The methods here map one value at a time and define the codec.  Spaces
+encode, decode and snap whole matrices with the column-group codec in
+:mod:`repro.space.space`, which the tests hold to these scalar methods
+bit for bit.
 """
 
 from __future__ import annotations
@@ -48,28 +53,6 @@ class Knob:
     def sample(self, rng: np.random.Generator) -> Any:
         """Draw a uniformly random native value."""
         return self.from_unit(float(rng.random()))
-
-    # --- vectorized codec -------------------------------------------------
-    # Array equivalents of to_unit/from_unit used by the batched space
-    # operations (encode_many/decode_many/snap_many).  Subclasses override
-    # with numpy implementations wherever the element-wise result is
-    # bit-identical to the scalar path; these fallbacks guarantee exactness
-    # by construction.
-
-    def from_unit_array(self, u: np.ndarray) -> list:
-        """Map an array of unit positions to a list of native values."""
-        return [self.from_unit(float(v)) for v in np.asarray(u, dtype=float)]
-
-    def to_unit_array(self, values: Sequence[Any]) -> np.ndarray:
-        """Map a sequence of native values to a unit-position array."""
-        return np.array([self.to_unit(v) for v in values], dtype=float)
-
-    def snap_unit_array(self, u: np.ndarray) -> np.ndarray:
-        """Vectorized ``to_unit(from_unit(u))``: snap unit positions onto
-        the knob's representable grid.  Bit-identical to the scalar
-        round-trip."""
-        u = np.asarray(u, dtype=float)
-        return np.array([self.to_unit(self.from_unit(float(v))) for v in u], dtype=float)
 
     def clip(self, value: Any) -> Any:
         """Clamp a native value into the knob's legal domain."""
@@ -129,31 +112,6 @@ class ContinuousKnob(Knob):
             return False
         return self.lower <= v <= self.upper
 
-    # Log-scaled knobs keep the scalar fallbacks: numpy's vectorized
-    # exp/log differ from math.exp/math.log by ULPs (SIMD polynomials), so
-    # only the linear mapping can be vectorized bit-identically.
-    def from_unit_array(self, u: np.ndarray) -> list:
-        u = np.asarray(u, dtype=float)
-        if self.log:
-            return super().from_unit_array(u)
-        u = np.minimum(np.maximum(u, 0.0), 1.0)
-        return (self.lower + u * (self.upper - self.lower)).tolist()
-
-    def to_unit_array(self, values: Sequence[Any]) -> np.ndarray:
-        if self.log:
-            return super().to_unit_array(values)
-        v = np.minimum(np.maximum(np.asarray(values, dtype=float), self.lower), self.upper)
-        return (v - self.lower) / (self.upper - self.lower)
-
-    def snap_unit_array(self, u: np.ndarray) -> np.ndarray:
-        if self.log:
-            return super().snap_unit_array(u)
-        u = np.minimum(np.maximum(np.asarray(u, dtype=float), 0.0), 1.0)
-        v = self.lower + u * (self.upper - self.lower)
-        v = np.minimum(np.maximum(v, self.lower), self.upper)
-        return (v - self.lower) / (self.upper - self.lower)
-
-
 class IntegerKnob(Knob):
     """An integer-valued knob on ``[lower, upper]``, optionally log-scaled.
 
@@ -208,32 +166,6 @@ class IntegerKnob(Knob):
             return False
         return v == value and self.lower <= v <= self.upper
 
-    def from_unit_array(self, u: np.ndarray) -> list:
-        u = np.asarray(u, dtype=float)
-        if self.log:
-            return super().from_unit_array(u)
-        u = np.minimum(np.maximum(u, 0.0), 1.0)
-        raw = self.lower + u * (self.upper - self.lower)
-        # np.rint is round-half-even, matching Python's round().
-        return np.clip(np.rint(raw), self.lower, self.upper).astype(np.int64).tolist()
-
-    def to_unit_array(self, values: Sequence[Any]) -> np.ndarray:
-        if self.log:
-            return super().to_unit_array(values)
-        v = np.asarray(values)
-        # astype truncates toward zero exactly like the scalar int() cast.
-        v = np.minimum(np.maximum(v.astype(np.int64), self.lower), self.upper)
-        return (v - self.lower) / (self.upper - self.lower)
-
-    def snap_unit_array(self, u: np.ndarray) -> np.ndarray:
-        if self.log:
-            return super().snap_unit_array(u)
-        u = np.minimum(np.maximum(np.asarray(u, dtype=float), 0.0), 1.0)
-        raw = self.lower + u * (self.upper - self.lower)
-        v = np.clip(np.rint(raw), self.lower, self.upper).astype(np.int64)
-        return (v - self.lower) / (self.upper - self.lower)
-
-
 class CategoricalKnob(Knob):
     """A categorical knob over an explicit finite choice set.
 
@@ -287,20 +219,3 @@ class CategoricalKnob(Knob):
 
     def validate(self, value: Any) -> bool:
         return value in self._index
-
-    def _indices_from_unit(self, u: np.ndarray) -> np.ndarray:
-        u = np.minimum(np.maximum(np.asarray(u, dtype=float), 0.0), 1.0)
-        n = len(self.choices)
-        # astype truncates toward zero == int() cast; u >= 0 so this is floor.
-        return np.minimum((u * n).astype(np.int64), n - 1)
-
-    def from_unit_array(self, u: np.ndarray) -> list:
-        return [self.choices[i] for i in self._indices_from_unit(u)]
-
-    def to_unit_array(self, values: Sequence[Any]) -> np.ndarray:
-        n = len(self.choices)
-        idx = np.array([self.choice_index(v) for v in values], dtype=np.int64)
-        return (idx + 0.5) / n
-
-    def snap_unit_array(self, u: np.ndarray) -> np.ndarray:
-        return (self._indices_from_unit(u) + 0.5) / len(self.choices)

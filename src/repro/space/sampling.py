@@ -59,4 +59,4 @@ class LatinHypercubeSampler:
     def sample(self, n: int) -> list[Configuration]:
         """Return ``n`` LHS configurations from the space."""
         design = latin_hypercube(n, self.space.n_dims, self._rng)
-        return [self.space.decode(row) for row in design]
+        return self.space.decode_many(design)

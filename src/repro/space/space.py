@@ -8,16 +8,227 @@ A :class:`ConfigurationSpace` is an ordered collection of knobs.  It provides
   (Lasso, linear surrogates),
 - subspacing (knob selection produces a subspace of the full space),
 - neighbourhood generation for SMAC-style local search.
+
+All of it runs through one batch codec.  On first use a space compiles
+its knobs into column groups -- linear and log continuous, linear and
+log integer, categorical -- each holding its bounds (or choice table) as
+vectors, so encoding, decoding and snapping a matrix is a few array
+operations per group.  The groups reproduce the scalar
+``Knob.to_unit``/``from_unit`` bit for bit: numpy's elementwise
+add/multiply/divide, ``np.rint`` and a clamp with Python's ``min``/``max``
+tie rules round exactly as the scalar code does, and the log groups map
+``math.exp``/``math.log`` over the block because numpy's vectorized
+``exp``/``log`` differ from libm in the last bit on some inputs.
+Decoded values are Python-native (``int``, ``float``, the choice object),
+so configurations hash and compare as the scalar path's do.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+import itertools
+import math
+import operator
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.space.configuration import Configuration
-from repro.space.parameter import CategoricalKnob, Knob
+from repro.space.parameter import CategoricalKnob, ContinuousKnob, IntegerKnob, Knob
+
+
+def _clamp(x: np.ndarray, lo: Any, hi: Any) -> np.ndarray:
+    """``min(max(x, lo), hi)`` elementwise with Python's tie rules.
+
+    ``np.clip`` differs only where ``x`` equals a bound it is not
+    identical to -- a signed zero -- and returns the bound where Python
+    returns ``x``.  That matters only to linear continuous knobs, whose
+    bounds may be zeros; integer values are normalized to ``+0.0`` and
+    log knobs have positive bounds, so the other groups use ``np.clip``.
+    """
+    x = np.where(lo > x, lo, x)
+    return np.where(hi < x, hi, x)
+
+
+def _rows_of(names: list[str], mappings: list[Mapping[str, Any]]) -> list[tuple]:
+    """Each mapping's values of ``names``, as a tuple."""
+    get = operator.itemgetter(*names)
+    if len(names) == 1:
+        return [(value,) for value in map(get, mappings)]
+    return list(map(get, mappings))
+
+
+def _libm(fn: Callable[[float], float], block: np.ndarray) -> np.ndarray:
+    """``math.exp`` or ``math.log`` over every element of ``block``."""
+    flat = np.fromiter(map(fn, block.ravel().tolist()), dtype=float, count=block.size)
+    return flat.reshape(block.shape)
+
+
+def _exact_integer_bounds(knob: Knob) -> bool:
+    """Whether float64 arithmetic reproduces the knob's Python-int codec:
+    log knobs need bounds that are doubles within int64, linear knobs a
+    range whose every integer (and difference) is a double."""
+    if knob.log:
+        return all(float(b) == b < 2**63 for b in (knob.lower, knob.upper))
+    return -(2**52) <= knob.lower and knob.upper <= 2**52
+
+
+class _NumericGroup:
+    """Numeric knobs of one kind.  Column ``j`` maps a unit position ``u``
+    to ``base[j] + u * span[j]``, through ``exp`` for log knobs and
+    rounded and clamped to the bounds for integer knobs."""
+
+    def __init__(self, cols: list[int], knobs: list[Knob], integer: bool, log: bool) -> None:
+        if integer and not all(_exact_integer_bounds(k) for k in knobs):
+            raise ValueError("integer knob bounds beyond exact float64 arithmetic")
+        self.cols = np.array(cols, dtype=np.intp)
+        self.names = [k.name for k in knobs]
+        self.integer, self.log = integer, log
+        self.clamp = np.clip if integer or log else _clamp
+        self.lower = np.array([float(k.lower) for k in knobs])
+        self.upper = np.array([float(k.upper) for k in knobs])
+        if log:
+            lo = [math.log(k.lower) for k in knobs]
+            self.base = np.array(lo)
+            self.span = np.array([math.log(k.upper) - a for k, a in zip(knobs, lo)])
+        else:
+            self.base = self.lower
+            self.span = np.array([float(k.upper - k.lower) for k in knobs])
+
+    def from_unit(self, U: np.ndarray) -> np.ndarray:
+        """Native values (as floats) of the unit positions ``U``."""
+        v = self.base + self.clamp(U, 0.0, 1.0) * self.span
+        if self.log:
+            v = _libm(math.exp, v)
+        if self.integer:
+            # ``+ 0.0`` turns rint's -0.0 into the 0 a Python int is.
+            v = np.clip(np.rint(v) + 0.0, self.lower, self.upper)
+        return v
+
+    def to_unit(self, V: np.ndarray) -> np.ndarray:
+        """Unit positions of the native values ``V``."""
+        if self.integer:
+            V = np.trunc(V) + 0.0
+        V = self.clamp(V, self.lower, self.upper)
+        if self.log:
+            V = _libm(math.log, V)
+        return (V - self.base) / self.span
+
+
+class _CategoricalGroup:
+    """Categorical knobs: choice ``i`` of ``n`` sits at ``(i + 0.5) / n``."""
+
+    def __init__(self, cols: list[int], knobs: list[CategoricalKnob]) -> None:
+        self.cols = np.array(cols, dtype=np.intp)
+        self.knobs = knobs
+        self.names = [k.name for k in knobs]
+        self.n = np.array([k.n_choices for k in knobs])
+        self.table = np.empty((len(knobs), int(self.n.max())), dtype=object)
+        for r, knob in enumerate(knobs):
+            for i, choice in enumerate(knob.choices):
+                self.table[r, i] = choice
+        self.rows = np.arange(len(knobs))
+
+    def indices(self, U: np.ndarray) -> np.ndarray:
+        return np.minimum((np.clip(U, 0.0, 1.0) * self.n).astype(np.int64), self.n - 1)
+
+    def units(self, indices: np.ndarray) -> np.ndarray:
+        return (indices + 0.5) / self.n
+
+
+class _Codec:
+    """A space's knobs compiled into column groups (see the module doc)."""
+
+    def __init__(self, knobs: list[Knob]) -> None:
+        self.names = [k.name for k in knobs]
+        kinds: dict[tuple[bool, bool], list[int]] = {}
+        categorical: list[int] = []
+        for j, knob in enumerate(knobs):
+            if isinstance(knob, CategoricalKnob):
+                categorical.append(j)
+            elif isinstance(knob, (ContinuousKnob, IntegerKnob)):
+                kinds.setdefault((isinstance(knob, IntegerKnob), knob.log), []).append(j)
+            else:
+                raise TypeError(f"{knob.name}: no array codec for {type(knob).__name__}")
+        self.numeric = [
+            _NumericGroup(cols, [knobs[j] for j in cols], integer, log)
+            for (integer, log), cols in kinds.items()
+        ]
+        self.numeric_cols = np.array(
+            sorted(j for cols in kinds.values() for j in cols), dtype=np.intp
+        )
+        self.categorical = (
+            _CategoricalGroup(categorical, [knobs[j] for j in categorical])
+            if categorical
+            else None
+        )
+
+    def values(self, U: np.ndarray) -> np.ndarray:
+        """Native values of the unit rows ``U``, as an object matrix."""
+        out = np.empty(U.shape, dtype=object)
+        for g in self.numeric:
+            v = g.from_unit(U[:, g.cols])
+            out[:, g.cols] = v.astype(np.int64) if g.integer else v
+        cat = self.categorical
+        if cat is not None:
+            out[:, cat.cols] = cat.table[cat.rows, cat.indices(U[:, cat.cols])]
+        return out
+
+    def decode(self, U: np.ndarray) -> list[Configuration]:
+        names = self.names
+        return [Configuration(dict(zip(names, row))) for row in self.values(U).tolist()]
+
+    def snap(self, U: np.ndarray) -> np.ndarray:
+        out = np.empty(U.shape)
+        for g in self.numeric:
+            out[:, g.cols] = g.to_unit(g.from_unit(U[:, g.cols]))
+        cat = self.categorical
+        if cat is not None:
+            out[:, cat.cols] = cat.units(cat.indices(U[:, cat.cols]))
+        return out
+
+    def encode(self, configs: Sequence[Mapping[str, Any]]) -> np.ndarray:
+        n = len(configs)
+        out = np.empty((n, len(self.names)))
+        if not n:
+            return out
+        # A Configuration's values are read from a plain dict copy, whose
+        # lookups skip the Mapping protocol.
+        dicts = [c.as_dict() if isinstance(c, Configuration) else c for c in configs]
+        for g in self.numeric:
+            out[:, g.cols] = g.to_unit(np.array(_rows_of(g.names, dicts), dtype=float))
+        cat = self.categorical
+        if cat is not None:
+            values = itertools.chain.from_iterable(_rows_of(cat.names, dicts))
+            I = np.fromiter(
+                map(CategoricalKnob.choice_index, cat.knobs * n, values),
+                dtype=np.int64,
+                count=n * len(cat.knobs),
+            )
+            out[:, cat.cols] = cat.units(I.reshape(n, len(cat.knobs)))
+        return out
+
+
+@dataclass(eq=False)
+class Neighbors:
+    """One-exchange neighbours of a base configuration, as unit rows.
+
+    Row ``i`` of :attr:`rows` is the encoding of neighbour ``i``: the base
+    configuration with knob ``names[i]`` set to ``values[i]``.
+    """
+
+    base: dict[str, Any]
+    rows: np.ndarray
+    names: list[str]
+    values: list[Any]
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def configuration(self, i: int) -> Configuration:
+        """Neighbour ``i`` as a configuration."""
+        return Configuration({**self.base, self.names[i]: self.values[i]})
 
 
 class ConfigurationSpace:
@@ -89,62 +300,47 @@ class ConfigurationSpace:
     # ------------------------------------------------------------------
     # encoding
     # ------------------------------------------------------------------
+    @cached_property
+    def _codec(self) -> _Codec:
+        return _Codec(self._knobs)
+
+    def _rows(self, vectors: np.ndarray) -> np.ndarray:
+        U = np.atleast_2d(np.asarray(vectors, dtype=float))
+        if U.shape[1] != self.n_dims:
+            raise ValueError(
+                f"expected vectors of dimension {self.n_dims}, got {U.shape[1]}"
+            )
+        return U
+
     def encode(self, config: Mapping[str, Any]) -> np.ndarray:
         """Encode a configuration to its unit vector in ``[0, 1]^d``."""
-        return np.array([k.to_unit(config[k.name]) for k in self._knobs], dtype=float)
+        return self._codec.encode([config])[0]
 
     def decode(self, vector: Sequence[float]) -> Configuration:
         """Decode a unit vector to a native :class:`Configuration`."""
         vec = np.asarray(vector, dtype=float)
         if vec.shape != (self.n_dims,):
             raise ValueError(f"expected vector of shape ({self.n_dims},), got {vec.shape}")
-        return Configuration({k.name: k.from_unit(v) for k, v in zip(self._knobs, vec)})
+        return self._codec.decode(vec[None, :])[0]
 
     def encode_many(self, configs: Sequence[Mapping[str, Any]]) -> np.ndarray:
-        """Encode a batch of configurations into an ``(n, d)`` array.
-
-        Vectorized per knob column; bit-identical to encoding each
-        configuration with :meth:`encode`.
-        """
-        configs = list(configs)
-        if not configs:
-            return np.empty((0, self.n_dims))
-        return np.column_stack(
-            [k.to_unit_array([c[k.name] for c in configs]) for k in self._knobs]
-        )
+        """Encode a batch of configurations into an ``(n, d)`` array, row
+        ``i`` equal to :meth:`encode` of ``configs[i]``."""
+        return self._codec.encode(list(configs))
 
     def decode_many(self, vectors: np.ndarray) -> list[Configuration]:
-        """Decode an ``(n, d)`` array of unit vectors to configurations.
-
-        Vectorized per knob column; bit-identical to decoding each row
-        with :meth:`decode`.
-        """
-        U = np.atleast_2d(np.asarray(vectors, dtype=float))
-        if U.shape[1] != self.n_dims:
-            raise ValueError(
-                f"expected vectors of dimension {self.n_dims}, got {U.shape[1]}"
-            )
-        names = [k.name for k in self._knobs]
-        columns = [k.from_unit_array(U[:, j]) for j, k in enumerate(self._knobs)]
-        return [Configuration(dict(zip(names, row))) for row in zip(*columns)]
+        """Decode an ``(n, d)`` array of unit vectors to configurations,
+        one :meth:`decode` per row."""
+        return self._codec.decode(self._rows(vectors))
 
     def snap_many(self, vectors: np.ndarray) -> np.ndarray:
         """Snap unit vectors onto the space's representable grid.
 
-        The array-level equivalent of the decode/encode round trip
-        ``encode_many([decode(row) for row in vectors])`` — integer and
-        categorical dimensions land exactly on their encodings — without
-        materializing any native :class:`Configuration`.  Bit-identical
-        to the per-row round trip (see ``Knob.snap_unit_array``).
+        Equal to ``encode_many(decode_many(vectors))`` -- integer and
+        categorical dimensions land exactly on their encodings -- without
+        materializing any native :class:`Configuration`.
         """
-        U = np.atleast_2d(np.asarray(vectors, dtype=float))
-        if U.shape[1] != self.n_dims:
-            raise ValueError(
-                f"expected vectors of dimension {self.n_dims}, got {U.shape[1]}"
-            )
-        return np.column_stack(
-            [k.snap_unit_array(U[:, j]) for j, k in enumerate(self._knobs)]
-        )
+        return self._codec.snap(self._rows(vectors))
 
     def one_hot_dims(self) -> int:
         """Dimensionality of the one-hot encoding."""
@@ -190,16 +386,18 @@ class ConfigurationSpace:
         return Configuration({k.name: k.default for k in self._knobs})
 
     def sample_configuration(self, rng: np.random.Generator | None = None) -> Configuration:
-        """Draw one uniformly random configuration."""
+        """Draw one uniformly random configuration: one ``Knob.sample``
+        per knob, in knob order."""
         rng = self._rng if rng is None else rng
-        return Configuration({k.name: k.sample(rng) for k in self._knobs})
+        return self._codec.decode(rng.random((1, self.n_dims)))[0]
 
     def sample_configurations(
         self, n: int, rng: np.random.Generator | None = None
     ) -> list[Configuration]:
-        """Draw ``n`` independent uniformly random configurations."""
+        """Draw ``n`` independent uniformly random configurations, the
+        same stream as ``n`` calls of :meth:`sample_configuration`."""
         rng = self._rng if rng is None else rng
-        return [self.sample_configuration(rng) for _ in range(n)]
+        return self._codec.decode(rng.random((n, self.n_dims)))
 
     def validate(self, config: Mapping[str, Any]) -> bool:
         """Check all knobs are present with in-domain values."""
@@ -236,28 +434,48 @@ class ConfigurationSpace:
         rng: np.random.Generator | None = None,
         n_continuous: int = 4,
         stdev: float = 0.2,
-    ) -> list[Configuration]:
+    ) -> Neighbors:
         """Generate one-exchange neighbours of a configuration (SMAC-style).
 
         Numeric knobs get ``n_continuous`` Gaussian perturbations in unit
-        space; categorical knobs get every alternative choice.
+        space, kept when they change the knob's native value; categorical
+        knobs get every alternative choice.  Neighbours come in knob
+        order, and the perturbations are drawn knob by knob: the same
+        neighbours, in the same order and from the same RNG stream, as
+        perturbing one knob at a time through ``Knob.to_unit`` and
+        ``Knob.from_unit``.  Each row of the result equals
+        :meth:`encode_many` of its neighbour.
         """
         rng = self._rng if rng is None else rng
+        codec, cat = self._codec, self._codec.categorical
         base = dict(config)
-        result: list[Configuration] = []
-        for knob in self._knobs:
-            if isinstance(knob, CategoricalKnob):
-                for choice in knob.choices:
-                    if choice != base[knob.name]:
-                        result.append(Configuration({**base, knob.name: choice}))
-            else:
-                u = knob.to_unit(base[knob.name])
-                for _ in range(n_continuous):
-                    nu = float(np.clip(u + rng.normal(0.0, stdev), 0.0, 1.0))
-                    value = knob.from_unit(nu)
-                    if value != base[knob.name]:
-                        result.append(Configuration({**base, knob.name: value}))
-        return result
+        row = codec.encode([base])[0]
+        current = np.fromiter((base[name] for name in codec.names), dtype=object)
+        numeric = codec.numeric_cols
+        steps = rng.normal(0.0, stdev, (len(numeric), n_continuous))
+        U = np.repeat(row[None, :], n_continuous, axis=0)
+        U[:, numeric] = np.clip(row[numeric, None] + steps, 0.0, 1.0).T
+        # Python's != decides which moves change a knob's native value.
+        values = codec.values(U)[:, numeric].T
+        kept = values != current[numeric, None]
+        j, k = np.nonzero(kept)
+        cols = [numeric[j]]
+        units = [codec.snap(U)[:, numeric].T[j, k]]
+        moved = [values[j, k]]
+        if cat is not None:
+            others = cat.table != current[cat.cols, None]
+            others &= np.arange(cat.table.shape[1]) < cat.n[:, None]
+            r, i = np.nonzero(others)
+            cols.append(cat.cols[r])
+            units.append((i + 0.5) / cat.n[r])
+            moved.append(cat.table[r, i])
+        # Knob order; a knob's moves keep their draw or choice order.
+        order = np.argsort(np.concatenate(cols), kind="stable")
+        col = np.concatenate(cols)[order]
+        rows = np.repeat(row[None, :], len(col), axis=0)
+        rows[np.arange(len(col)), col] = np.concatenate(units)[order]
+        names = [codec.names[c] for c in col]
+        return Neighbors(base, rows, names, np.concatenate(moved)[order].tolist())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ConfigurationSpace(n_dims={self.n_dims})"

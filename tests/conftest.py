@@ -10,6 +10,7 @@ from repro.dbms.server import MySQLServer
 from repro.selection.base import collect_samples
 from repro.space import (
     CategoricalKnob,
+    Configuration,
     ConfigurationSpace,
     ContinuousKnob,
     IntegerKnob,
@@ -81,3 +82,52 @@ def small_regression_data():
     X = rng.random((250, 6))
     y = 4.0 * X[:, 0] - 3.0 * X[:, 1] + 2.0 * X[:, 2] * X[:, 3] + rng.normal(0, 0.05, 250)
     return X, y
+
+
+class ScalarCodec:
+    """The space codec one value at a time: ``Knob.to_unit``,
+    ``Knob.from_unit`` and ``Knob.sample`` per knob, in knob order.
+
+    The reference the space's batch codec is held to bit for bit.  Its
+    neighbourhood is the one-knob-at-a-time loop ``ConfigurationSpace``
+    ran before it built neighbours as unit rows.
+    """
+
+    def __init__(self, space: ConfigurationSpace) -> None:
+        self.knobs = space.knobs
+
+    def encode(self, configs) -> np.ndarray:
+        rows = [[k.to_unit(c[k.name]) for k in self.knobs] for c in configs]
+        return np.array(rows, dtype=float).reshape(len(rows), len(self.knobs))
+
+    def decode(self, U) -> list[Configuration]:
+        return [
+            Configuration({k.name: k.from_unit(float(u)) for k, u in zip(self.knobs, row)})
+            for row in np.atleast_2d(U)
+        ]
+
+    def sample(self, n: int, rng: np.random.Generator) -> list[Configuration]:
+        return [Configuration({k.name: k.sample(rng) for k in self.knobs}) for _ in range(n)]
+
+    def neighbors(self, config, rng, n_continuous=4, stdev=0.2) -> list[Configuration]:
+        base = dict(config)
+        result = []
+        for knob in self.knobs:
+            if isinstance(knob, CategoricalKnob):
+                for choice in knob.choices:
+                    if choice != base[knob.name]:
+                        result.append(Configuration({**base, knob.name: choice}))
+            else:
+                u = knob.to_unit(base[knob.name])
+                for _ in range(n_continuous):
+                    nu = float(np.clip(u + rng.normal(0.0, stdev), 0.0, 1.0))
+                    value = knob.from_unit(nu)
+                    if value != base[knob.name]:
+                        result.append(Configuration({**base, knob.name: value}))
+        return result
+
+
+@pytest.fixture
+def scalar_codec():
+    """``ScalarCodec``, to build over a space."""
+    return ScalarCodec

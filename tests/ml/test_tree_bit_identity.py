@@ -29,6 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dbms.catalog import mysql_knob_space
 from repro.ml.boosting import GradientBoostingRegressor
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.tree import DecisionTreeRegressor
@@ -395,12 +396,13 @@ def _mixed_space() -> ConfigurationSpace:
 
 
 def _drive(optimizer, space, iterations: int) -> list[tuple]:
+    """The suggestions' native values (types included) and encodings."""
     history = History(space)
     sequence = []
     for _ in range(iterations):
         config = optimizer.suggest(history)
         x = space.encode(config)
-        sequence.append(tuple(x))
+        sequence.append((repr(config), tuple(x)))
         score = -float(np.sum((x - 0.35) ** 2))
         history.append(Observation(config=config, objective=score, score=score))
     return sequence
@@ -417,13 +419,102 @@ def _per_dimension_log_pdf(draws, centers, bandwidths):
     )
 
 
+def _smac_space() -> ConfigurationSpace:
+    """``_mixed_space`` plus catalog knobs: log integers up to 2**62
+    (``max_join_size``) and 2**32, linear integers and categoricals."""
+    catalog = mysql_knob_space(
+        "B",
+        knob_names=[
+            "max_join_size",
+            "max_seeks_for_key",
+            "innodb_buffer_pool_instances",
+            "innodb_old_blocks_time",
+            "innodb_flush_method",
+            "innodb_doublewrite",
+        ],
+    )
+    return ConfigurationSpace(_mixed_space().knobs + catalog.knobs)
+
+
+class _ScalarSMAC(SMAC):
+    """SMAC scoring lists of configurations through the scalar codec
+    (``tests/conftest.py``'s ``ScalarCodec``): sampled, encoded and
+    neighboured one knob at a time, as before the space built candidates
+    as unit rows."""
+
+    def __init__(self, space, codec, seed):
+        super().__init__(space, seed=seed)
+        self.codec = codec
+
+    def _training_data(self, history):
+        return self.codec.encode(history.configs()), history.scores()
+
+    def _random_config(self):
+        return self.codec.sample(1, self.rng)[0]
+
+    def _ei_of(self, forest, configs, best):
+        mean, std = forest.predict_with_std(self.codec.encode(configs))
+        return smac_module.expected_improvement(mean, std, best)
+
+    def _local_search(self, forest, history, best):
+        succ = sorted(history.successful(), key=lambda o: o.score, reverse=True)
+        results = []
+        for anchor in [o.config for o in succ[: self.n_local_anchors]]:
+            current = anchor
+            current_ei = float(self._ei_of(forest, [current], best)[0])
+            for _ in range(self.n_local_steps):
+                neighbors = self.codec.neighbors(current, self.rng, n_continuous=4, stdev=0.1)
+                if len(neighbors) > 80:
+                    idx = self.rng.choice(len(neighbors), size=80, replace=False)
+                    neighbors = [neighbors[i] for i in idx]
+                eis = self._ei_of(forest, neighbors, best)
+                j = int(np.argmax(eis))
+                if eis[j] <= current_ei:
+                    break
+                current, current_ei = neighbors[j], float(eis[j])
+            results.append((current, current_ei))
+        return results
+
+    def suggest(self, history):
+        succ = history.successful()
+        if len(succ) < 2 or self.rng.random() < self.random_interleave_prob:
+            return self._dedupe(self._random_config(), history)
+        X, y = self._training_data(history)
+        forest = self._fit_surrogate(X, y)
+        best = max(o.score for o in succ)
+        scored = self._local_search(forest, history, best)
+        randoms = self.codec.sample(self.n_random_candidates, self.rng)
+        random_eis = self._ei_of(forest, randoms, best)
+        j = int(np.argmax(random_eis))
+        scored.append((randoms[j], float(random_eis[j])))
+        return self._dedupe(max(scored, key=lambda t: t[1])[0], history)
+
+
 class TestOptimizerIdentity:
-    def test_smac_suggest_sequence_identical(self, monkeypatch):
-        space = _mixed_space()
-        fast = _drive(SMAC(space, seed=31), space, 12)
+    def test_smac_suggest_sequence_identical(self, monkeypatch, scalar_codec):
+        """Against per-tree forest predictions and the scalar codec."""
+        space = _smac_space()
+        fast = _drive(SMAC(space, seed=31), space, 16)
         monkeypatch.setattr(smac_module, "RandomForestRegressor", _ReferenceForest)
-        ref = _drive(SMAC(space, seed=31), space, 12)
+        ref = _drive(_ScalarSMAC(space, scalar_codec(space), seed=31), space, 16)
         assert fast == ref
+
+    def test_smac_scores_representable_rows(self, monkeypatch):
+        """Every candidate row SMAC's forest scores is an encoding of a
+        configuration (``snap_many`` leaves it unchanged)."""
+        space = _smac_space()
+        scored = []
+        predict = RandomForestRegressor.predict_with_std
+
+        def spy(forest, X):
+            scored.append(np.array(X))
+            return predict(forest, X)
+
+        monkeypatch.setattr(RandomForestRegressor, "predict_with_std", spy)
+        _drive(SMAC(space, seed=31), space, 16)
+        assert sum(len(X) for X in scored) > 512
+        for X in scored:
+            assert space.snap_many(X).tobytes() == X.tobytes()
 
     def test_tpe_suggest_sequence_identical(self, monkeypatch):
         space = _mixed_space()

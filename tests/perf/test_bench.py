@@ -86,7 +86,9 @@ def test_cli_validate_missing_file(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", ["BENCH_PR4.json", "BENCH_PR9.json", "BENCH_PR13.json"])
+@pytest.mark.parametrize(
+    "name", ["BENCH_PR4.json", "BENCH_PR9.json", "BENCH_PR13.json", "BENCH_PR14.json"]
+)
 def test_tracked_payload_is_valid(name):
     """Committed trajectory payloads must always pass the current schema."""
     from pathlib import Path
@@ -103,7 +105,7 @@ def test_tracked_trajectory_is_comparable():
     from pathlib import Path
 
     perf_dir = Path(__file__).resolve().parents[2] / "benchmarks" / "perf"
-    names = ["BENCH_PR4.json", "BENCH_PR9.json", "BENCH_PR13.json"]
+    names = ["BENCH_PR4.json", "BENCH_PR9.json", "BENCH_PR13.json", "BENCH_PR14.json"]
     payloads = [json.loads((perf_dir / name).read_text()) for name in names]
     for old, new in zip(payloads, payloads[1:]):
         errors, rows = bench.compare_payloads(old, new)

@@ -121,14 +121,22 @@ class TestStructure:
 
     def test_neighbors_change_one_knob(self, tiny_space):
         config = tiny_space.default_configuration()
-        for neighbor in tiny_space.neighbors(config, np.random.default_rng(0)):
+        neighbors = tiny_space.neighbors(config, np.random.default_rng(0))
+        assert len(neighbors) == len(neighbors.rows) > 0
+        base_row = tiny_space.encode(config)
+        for i, row in enumerate(neighbors.rows):
+            neighbor = neighbors.configuration(i)
             diff = [k for k in tiny_space.names if neighbor[k] != config[k]]
-            assert len(diff) == 1
+            assert diff == [neighbors.names[i]]
+            assert neighbor[neighbors.names[i]] == neighbors.values[i]
+            # Only the moved knob's column may differ from the base row.
+            moved = tiny_space.index_of(neighbors.names[i])
+            assert np.delete(row, moved).tobytes() == np.delete(base_row, moved).tobytes()
 
     def test_neighbors_cover_categorical_alternatives(self, tiny_space):
         config = tiny_space.default_configuration()
         neighbors = tiny_space.neighbors(config, np.random.default_rng(0))
-        modes = {n["mode"] for n in neighbors if n["mode"] != config["mode"]}
+        modes = {v for n, v in zip(neighbors.names, neighbors.values) if n == "mode"}
         assert modes == {"b", "c"}
 
 
