@@ -7,15 +7,28 @@ mixed-kernel BO, TuRBO's local models, and RGPE's base models.
 
 The O(n^3) Cholesky cost per (re)fit is intentional and *measured* by the
 algorithm-overhead experiment (paper Figure 9).  What is **not** intentional
-is implementation overhead on top of it, so ``fit`` threads a per-fit
-:class:`~repro.perf.cache.KernelCache` through every kernel evaluation
-(the pairwise distances are theta-independent and identical across the
-~120 likelihood evaluations of one hyperparameter search) and derives the
-final ``log_marginal_likelihood_`` from the factorization it already has
-instead of running a third Cholesky.  Both are bit-identical to kernel
-calls without a cache and to a directly evaluated likelihood
-(``tests/ml/test_gp_cache.py``).  Every ``fit`` is a from-scratch fit:
-a hyperparameter search and a fresh factorization of the full history.
+is implementation overhead on top of it:
+
+* ``fit`` threads a per-fit :class:`~repro.perf.cache.KernelCache` through
+  every kernel evaluation (the pairwise distances are theta-independent and
+  identical across the 140-240 likelihood evaluations of one
+  hyperparameter search) and derives the final ``log_marginal_likelihood_``
+  from the factorization it already has instead of running a third
+  Cholesky.
+* L-BFGS-B gets the likelihood and its forward-difference gradient from one
+  call per step.  The gradient is the one scipy's finite-difference code
+  computes for ``eps=1e-3`` (same stencil points, same step flip at the
+  upper bound, same arithmetic), so every iterate is unchanged; only
+  scipy's wrapper layers leave the loop.
+* The Cholesky factorization and both solves call LAPACK's ``dpotrf``,
+  ``dpotrs`` and ``dtrtrs`` directly, with the routines, arguments and
+  input checks that ``scipy.linalg.cholesky``, ``cho_solve`` and
+  ``solve_triangular`` use, minus their per-call dispatch.
+
+All of it is bit-identical to the scipy-wrapper path and to kernel calls
+without a cache (``tests/ml/test_gp_bit_identity.py``,
+``tests/ml/test_gp_cache.py``).  Every ``fit`` is a from-scratch fit: a
+hyperparameter search and a fresh factorization of the full history.
 """
 
 from __future__ import annotations
@@ -23,10 +36,65 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import linalg, optimize, stats
+from scipy import optimize, stats
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from repro.ml.kernels import Kernel, RBFKernel
 from repro.perf.cache import KernelCache
+
+# scipy's absolute finite-difference step for L-BFGS-B (its ``eps``).
+_FD_STEP = 1e-3
+
+
+def _cholesky(K: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor: ``scipy.linalg.cholesky(K, lower=True)``.
+
+    The factor is Fortran-ordered, as scipy's is.
+    """
+    L, info = dpotrf(np.asarray_chkfinite(K), lower=1, clean=1)
+    if info > 0:
+        raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(
+            f'LAPACK reported an illegal value in {-info}-th argument on entry to "POTRF".'
+        )
+    return L
+
+
+def _cho_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.cho_solve((L, True), b)``."""
+    x, info = dpotrs(np.asarray_chkfinite(L), np.asarray_chkfinite(b), lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    return x
+
+
+def _solve_lower(L: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.solve_triangular(L, B, lower=True)`` for a factor from
+    :func:`_cholesky` (Fortran-ordered, so scipy's untransposed call)."""
+    x, info = dtrtrs(np.asarray_chkfinite(L), np.asarray_chkfinite(B), lower=1)
+    if info > 0:
+        raise LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    return x
+
+
+def _check_step_bounds(box: np.ndarray) -> None:
+    """Reject bounds under which scipy would not step by ``+-_FD_STEP``.
+
+    scipy shrinks the step where it fits on neither side of theta, and
+    falls back to a relative step where ``theta + step`` rounds back to
+    theta.  Neither can happen inside bounds at least four steps wide and
+    within 1e6 of zero; every kernel's log bounds are at least 6.9 wide
+    and within 18.5 of zero.
+    """
+    if not (np.all(np.abs(box) <= 1e6) and np.all(box[:, 1] - box[:, 0] >= 4 * _FD_STEP)):
+        raise ValueError(
+            "hyperparameter bounds must be within 1e6 of zero and at least "
+            f"{4 * _FD_STEP:g} wide"
+        )
 
 
 class GaussianProcessRegressor:
@@ -77,14 +145,15 @@ class GaussianProcessRegressor:
 
     # ------------------------------------------------------------------
     def _lml(self, X: np.ndarray, y: np.ndarray, cache: KernelCache | None = None) -> float:
-        """Log marginal likelihood at the kernel's current theta."""
+        """Log marginal likelihood at the kernel's current theta (``-inf``
+        where the covariance is not positive definite)."""
         n = len(X)
         K = self.kernel(X, X, cache) + (self.noise + 1e-8) * np.eye(n)
         try:
-            L = linalg.cholesky(K, lower=True)
-        except linalg.LinAlgError:
+            L = _cholesky(K)
+        except LinAlgError:
             return float("-inf")
-        alpha = linalg.cho_solve((L, True), y)
+        alpha = _cho_solve(L, y)
         return float(
             -0.5 * y @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * n * np.log(2.0 * np.pi)
         )
@@ -95,6 +164,9 @@ class GaussianProcessRegressor:
         bounds = self.kernel.bounds
         if not bounds:
             return
+        box = np.array(bounds, dtype=float)
+        _check_step_bounds(box)
+        upper = box[:, 1]
         rng = np.random.default_rng(self.seed)
 
         best_theta = self.kernel.theta.copy()
@@ -111,6 +183,19 @@ class GaussianProcessRegressor:
             self.kernel.theta = theta
             return -self._lml(X, y, cache)
 
+        def value_and_gradient(theta: np.ndarray) -> tuple[float, np.ndarray]:
+            # scipy's 2-point rule for an absolute step: step forward, or
+            # backward where the forward point would pass the upper bound,
+            # one coordinate at a time, dividing by the step as rounded.
+            f0 = negative_lml(theta)
+            step = np.where(theta + _FD_STEP > upper, -_FD_STEP, _FD_STEP)
+            f = np.empty(len(theta))
+            for i in range(len(theta)):
+                point = theta.copy()
+                point[i] = theta[i] + step[i]
+                f[i] = negative_lml(point)
+            return f0, (f - f0) / ((theta + step) - theta)
+
         best_val = negative_lml(best_theta)
         memo[best_theta.tobytes()] = best_val
         starts = [best_theta]
@@ -118,11 +203,12 @@ class GaussianProcessRegressor:
             starts.append(np.array([rng.uniform(lo, hi) for lo, hi in bounds]))
         for start in starts:
             result = optimize.minimize(
-                negative_lml,
+                value_and_gradient,
                 start,
                 method="L-BFGS-B",
+                jac=True,
                 bounds=bounds,
-                options={"maxiter": 30, "eps": 1e-3},
+                options={"maxiter": 30},
             )
             if np.isfinite(result.fun) and result.fun < best_val:
                 best_val = float(result.fun)
@@ -158,13 +244,13 @@ class GaussianProcessRegressor:
         jitter = 1e-8
         while True:
             try:
-                self._chol = linalg.cholesky(K + jitter * np.eye(n), lower=True)
+                self._chol = _cholesky(K + jitter * np.eye(n))
                 break
-            except linalg.LinAlgError:
+            except LinAlgError:
                 jitter *= 10.0
                 if jitter > 1e-2:
                     raise
-        self._alpha = linalg.cho_solve((self._chol, True), yn)
+        self._alpha = _cho_solve(self._chol, yn)
         self._X = X
         self._y_raw = y.copy()
         # Derived from the factorization above — the third Cholesky the
@@ -188,7 +274,7 @@ class GaussianProcessRegressor:
         mean = K_star @ self._alpha * self._y_std + self._y_mean
         if not return_std:
             return mean
-        v = linalg.solve_triangular(self._chol, K_star.T, lower=True)
+        v = _solve_lower(self._chol, K_star.T)
         var = self.kernel.diag(X) - np.sum(v**2, axis=0)
         std = np.sqrt(np.maximum(var, 1e-12)) * self._y_std
         return mean, std
@@ -219,7 +305,7 @@ class GaussianProcessRegressor:
         cache = KernelCache()
         K_star = self.kernel(X, self._X, cache)
         mean = K_star @ self._alpha
-        v = linalg.solve_triangular(self._chol, K_star.T, lower=True)
+        v = _solve_lower(self._chol, K_star.T)
         if len(X) == 1:
             var = float(self.kernel.diag(X)[0]) - float(np.sum(v**2)) + 1e-8
             draws = mean[0] + math.sqrt(max(var, 0.0)) * rng.standard_normal(n_samples)

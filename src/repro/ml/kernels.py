@@ -15,6 +15,13 @@ structures (squared distances, Hamming mismatch counts) across the many
 likelihood evaluations of one hyperparameter fit.  Passing a cache never
 changes the produced matrix — the cached array is built by the same
 routine the uncached call runs.
+
+Two paths skip a large temporary.  ``ConstantKernel.diag`` returns the
+variance vector instead of the diagonal of an n x n ``self(X, X)``, and
+the Hamming mismatch count accumulates one categorical column at a time
+instead of broadcasting an (m, n, d) difference tensor.  Both give the
+bytes and dtype of the computation they replace
+(``tests/ml/test_gp_kernels.py``).
 """
 
 from __future__ import annotations
@@ -36,6 +43,20 @@ def _sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         + np.sum(B**2, axis=1)[None, :]
     )
     return np.maximum(d2, 0.0)
+
+
+def _mismatch_counts(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Per pair of rows, the number of columns differing by more than 1e-12.
+
+    Accumulated one column at a time, so no (m, n, d) temporary is built;
+    NaN entries compare as equal, as ``abs(a - b) > 1e-12`` is false.
+    """
+    counts = np.zeros((len(A), len(B)), dtype=np.int_)
+    diff = np.empty(counts.shape)
+    for a, b in zip(A.T, B.T):
+        np.subtract(a[:, None], b[None, :], out=diff)
+        counts += np.abs(diff, out=diff) > 1e-12
+    return counts
 
 
 def _select(X: np.ndarray, dims: np.ndarray | None) -> np.ndarray:
@@ -109,6 +130,9 @@ class ConstantKernel(Kernel):
         A = np.atleast_2d(A)
         B = np.atleast_2d(B)
         return np.full((len(A), len(B)), self.variance)
+
+    def diag(self, X: np.ndarray) -> np.ndarray:
+        return np.full(len(np.atleast_2d(X)), self.variance)
 
     @property
     def theta(self) -> np.ndarray:
@@ -250,9 +274,7 @@ class HammingKernel(Kernel):
         self, A: np.ndarray, B: np.ndarray, cache: KernelCache | None = None
     ) -> np.ndarray:
         def mismatches() -> np.ndarray:
-            As = _select(A, self.dims)
-            Bs = _select(B, self.dims)
-            return (np.abs(As[:, None, :] - Bs[None, :, :]) > 1e-12).sum(axis=2)
+            return _mismatch_counts(_select(A, self.dims), _select(B, self.dims))
 
         diff = self._cached(cache, "hamming", A, B, mismatches)
         return np.exp(-diff / self.lengthscale)

@@ -11,13 +11,16 @@ categorical knobs are compared by equality only (paper §3.2).
 
 Both refit the GP from scratch every iteration — a full hyperparameter
 search and a fresh factorization of the whole history — which is the
-cubic algorithm-overhead growth of Figure 9.  Two things remove
+cubic algorithm-overhead growth of Figure 9.  Three things remove
 implementation overhead without moving a suggestion (see
 ``docs/PERFORMANCE.md``): the GP reuses theta-independent pairwise
 distances across the likelihood evaluations of each hyperparameter fit
 (bit-identical to kernel calls without a
-:class:`~repro.perf.cache.KernelCache`), and the candidate pool is
-snapped to valid encodings with the array-level
+:class:`~repro.perf.cache.KernelCache`); its search hands L-BFGS-B the
+likelihood and its finite-difference gradient from one call per step and
+factorizes through LAPACK directly (bit-identical to scipy's
+finite-difference code and ``scipy.linalg`` wrappers); and the
+candidate pool is snapped to valid encodings with the array-level
 :meth:`ConfigurationSpace.snap_many` (bit-identical to a per-row
 ``decode``/``encode`` loop).
 """

@@ -28,7 +28,7 @@ wall-clock in, at several history sizes, one implementation per cell:
 
 Each cell is timed as the minimum over ``--repeats`` trials of the one
 code path the library runs.  Results are written as JSON (default
-``benchmarks/perf/BENCH_PR14.json``; rows are ``{op, n, seconds}``) and
+``benchmarks/perf/BENCH_PR15.json``; rows are ``{op, n, seconds}``) and
 the trajectory is tracked by diffing two committed payloads with
 ``--compare OLD NEW``; ``--validate`` checks an existing file against
 the schema without re-running anything.  Both also read schema-1
@@ -68,7 +68,7 @@ SCHEMA_VERSION = 2
 _TIME_KEY = {1: "optimized_seconds", 2: "seconds"}
 DEFAULT_SIZES = (25, 50, 100, 200)
 SMOKE_SIZES = (10, 20)
-DEFAULT_OUT = "benchmarks/perf/BENCH_PR14.json"
+DEFAULT_OUT = "benchmarks/perf/BENCH_PR15.json"
 DEFAULT_SEED = 17
 DEFAULT_REPEATS = 3
 POOL_ROWS = 1280

@@ -1,8 +1,9 @@
 """Theta-independent kernel precomputation cache.
 
-One GP hyperparameter fit evaluates the log marginal likelihood on the
-order of a hundred times (L-BFGS-B with finite-difference gradients,
-multiple restarts) against a *fixed* training matrix.  Stationary kernels
+One GP hyperparameter fit evaluates the log marginal likelihood about
+140 (vanilla BO) to 240 (mixed-kernel BO) times on the 197-knob catalog
+space (L-BFGS-B with forward-difference gradients, ``1 + len(theta)``
+evaluations per step, two starts) against a *fixed* training matrix.  Stationary kernels
 only touch the data through pairwise structures — squared Euclidean
 distances for RBF/Matérn, mismatch counts for Hamming — that do not
 depend on the hyperparameter vector ``theta``, so those structures can be

@@ -7,11 +7,13 @@ from repro.ml.gp import GaussianProcessRegressor
 from repro.ml.kernels import (
     ConstantKernel,
     HammingKernel,
+    Kernel,
     Matern52Kernel,
     MixedKernel,
     RBFKernel,
     SumKernel,
     WhiteKernel,
+    _mismatch_counts,
 )
 
 
@@ -85,6 +87,55 @@ class TestKernels:
             ConstantKernel(-1.0)
         with pytest.raises(ValueError):
             WhiteKernel(0.0)
+
+
+DIAG_KERNELS = {
+    "constant": lambda: ConstantKernel(0.37),
+    "constant_int": lambda: ConstantKernel(3),
+    "constant*rbf": lambda: ConstantKernel(2.5) * RBFKernel(0.5),
+    "constant*mixed": lambda: ConstantKernel(0.8) * MixedKernel([0, 1], [2, 3]),
+    "constant*matern": lambda: ConstantKernel(1.7) * Matern52Kernel(0.3),
+    "constant+white": lambda: ConstantKernel(0.6) + WhiteKernel(1e-3),
+}
+
+
+class TestTemporaryFreeKernels:
+    """Kernel paths that skip a temporary, against the computation they replace."""
+
+    @pytest.mark.parametrize("name", sorted(DIAG_KERNELS))
+    def test_constant_diag_matches_base_class(self, name, monkeypatch):
+        """``ConstantKernel.diag`` no longer reads the diagonal of an n x n
+        ``self(X, X)``; the result keeps its bytes and dtype."""
+        X = np.random.default_rng(6).random((50, 4))
+        got = DIAG_KERNELS[name]().diag(X)
+        monkeypatch.setattr(ConstantKernel, "diag", Kernel.diag)
+        want = DIAG_KERNELS[name]().diag(X)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_hamming_counts_match_broadcast(self):
+        """Column-by-column counting equals the (m, n, d) broadcast it
+        replaces: on-grid values, values within and beyond 1e-12 of each
+        other, a difference of exactly 1e-12, and NaN (a match)."""
+        grid = (np.arange(4) + 0.5) / 4.0
+        rng = np.random.default_rng(7)
+        A = rng.choice(grid, (60, 9))
+        B = rng.choice(grid, (17, 9))
+        A[0, 0] = B[0, 0] + 4e-13
+        A[1, 1] = B[1, 1] + 3e-12
+        A[2, 2] = B[2, 2] - 2e-11
+        A[3, 3], B[3, 3] = 1e-12, 0.0
+        A[4, 4] = np.nan
+        B[5, 5] = np.nan
+        A[6, 6] = B[6, 6] = np.nan
+        want = (np.abs(A[:, None, :] - B[None, :, :]) > 1e-12).sum(axis=2)
+        got = _mismatch_counts(A, B)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        kernel = HammingKernel(0.7, dims=[1, 3, 4, 5, 6])
+        reference = (np.abs(A[:, None, [1, 3, 4, 5, 6]] - B[None, :, [1, 3, 4, 5, 6]]) > 1e-12)
+        expected = np.exp(-reference.sum(axis=2) / 0.7)
+        assert kernel(A, B).tobytes() == expected.tobytes()
 
 
 class TestGaussianProcess:

@@ -86,9 +86,17 @@ def test_cli_validate_missing_file(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "name", ["BENCH_PR4.json", "BENCH_PR9.json", "BENCH_PR13.json", "BENCH_PR14.json"]
-)
+#: The committed trajectory payloads, oldest first.
+TRACKED = [
+    "BENCH_PR4.json",
+    "BENCH_PR9.json",
+    "BENCH_PR13.json",
+    "BENCH_PR14.json",
+    "BENCH_PR15.json",
+]
+
+
+@pytest.mark.parametrize("name", TRACKED)
 def test_tracked_payload_is_valid(name):
     """Committed trajectory payloads must always pass the current schema."""
     from pathlib import Path
@@ -105,8 +113,7 @@ def test_tracked_trajectory_is_comparable():
     from pathlib import Path
 
     perf_dir = Path(__file__).resolve().parents[2] / "benchmarks" / "perf"
-    names = ["BENCH_PR4.json", "BENCH_PR9.json", "BENCH_PR13.json", "BENCH_PR14.json"]
-    payloads = [json.loads((perf_dir / name).read_text()) for name in names]
+    payloads = [json.loads((perf_dir / name).read_text()) for name in TRACKED]
     for old, new in zip(payloads, payloads[1:]):
         errors, rows = bench.compare_payloads(old, new)
         assert errors == []
