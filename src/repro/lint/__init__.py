@@ -43,7 +43,9 @@ Findings are suppressed inline with ``# reprolint: disable=RXXX <reason>``;
 the reason string is mandatory (a reason-less suppression is itself reported
 as R000).  Configuration lives in ``[tool.reprolint]`` in ``pyproject.toml``.
 
-Usage::
+Each run is one serial pass: every file is read, parsed and walked once
+for the per-file rules and its whole-program summary, then R010–R014 run
+over the summaries.  Usage::
 
     python -m repro.lint src tests --format json
 
@@ -54,12 +56,11 @@ The framework is stdlib-only (``ast`` + ``argparse``); see
 from __future__ import annotations
 
 from repro.lint.config import LintConfig, load_config
-from repro.lint.engine import FileReport, Linter, lint_paths
+from repro.lint.engine import FileReport, Linter
 from repro.lint.findings import Finding
 from repro.lint.registry import RULES, Rule, rule_catalog
 
-#: Engine version, used to salt the whole-program analysis cache — bump
-#: whenever rule semantics or summary extraction change.
+#: Engine version, reported as the tool version in SARIF output.
 ENGINE_VERSION = "2.0"
 
 __all__ = [
@@ -70,7 +71,6 @@ __all__ = [
     "Linter",
     "RULES",
     "Rule",
-    "lint_paths",
     "load_config",
     "rule_catalog",
 ]

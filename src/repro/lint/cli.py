@@ -4,24 +4,22 @@ Exit codes: 0 = clean, 1 = findings reported, 2 = usage/configuration
 error.  The CLI is stdlib-only (``argparse``) so the CI lint gate needs no
 third-party installs.
 
-v2 runs the whole-program passes (R010–R014) by default, with per-file
-analysis results cached under ``.reprolint_cache/`` keyed by content
-hash.  ``--no-program`` restores the v1 per-file-only behaviour;
-``--baseline``/``--write-baseline`` let a new rule land against an
-existing codebase without a mass-suppression commit.
+Every run is one serial pass: each file is parsed once for the per-file
+rules (R001–R009) and its whole-program summary, then the program rules
+(R010–R014) run over the summaries.  ``--ignore R010,R011,R012,R013,R014``
+reports the per-file findings alone.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 from typing import Sequence
 
-import repro.lint.program  # noqa: F401 — registers the R010-R014 program rules
 from repro.lint.config import LintConfig, load_config
 from repro.lint.engine import Linter
+from repro.lint.program.driver import run_program_analysis  # registers R010-R014
 from repro.lint.registry import rule_catalog
 from repro.lint.reporters import REPORTERS
 
@@ -37,10 +35,6 @@ def _split_codes(values: list[str] | None) -> list[str]:
     return out
 
 
-def _default_jobs() -> int:
-    return max(1, min(8, os.cpu_count() or 1))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
@@ -50,7 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
             "optimizer/estimator contracts hold, and that the usual "
             "silent-nondeterminism footguns stay out of the tree. "
             "Whole-program passes (seed provenance, checkpoint schema "
-            "symmetry, cross-module clock flow) run by default."
+            "symmetry, cross-module clock flow) run alongside the per-file "
+            "rules."
         ),
     )
     parser.add_argument(
@@ -92,42 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the rule catalog and exit",
     )
-    # -- whole-program analysis ----------------------------------------
-    parser.add_argument(
-        "--no-program",
-        action="store_true",
-        help="per-file rules only; skip the whole-program passes (R010+)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="re-analyze every file; neither read nor write the cache",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=None,
-        help="analysis cache location (default: .reprolint_cache)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        metavar="N",
-        default=None,
-        help="worker processes for cold-file analysis (default: min(8, cpus))",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help="suppress findings recorded in this baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        default=None,
-        help="write current findings to FILE as the new baseline and exit 0",
-    )
     return parser
 
 
@@ -162,42 +121,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: path(s) not found: {', '.join(missing)}", file=sys.stderr)
         return EXIT_ERROR
 
-    from repro.lint.program.baseline import Baseline
-    from repro.lint.program.cache import DEFAULT_CACHE_DIR
-    from repro.lint.program.driver import run_program_analysis
-
-    baseline = None
-    if args.baseline:
-        try:
-            baseline = Baseline.load(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot load baseline: {exc}", file=sys.stderr)
-            return EXIT_ERROR
-
-    result = run_program_analysis(
-        args.paths,
-        config,
-        cache_dir=args.cache_dir or DEFAULT_CACHE_DIR,
-        use_cache=not args.no_cache,
-        jobs=args.jobs if args.jobs is not None else _default_jobs(),
-        baseline=baseline,
-        program=not args.no_program,
-    )
-
-    if args.write_baseline:
-        new_baseline = Baseline.from_findings(result.findings, result.sources)
-        new_baseline.save(args.write_baseline)
-        print(
-            f"baseline: recorded {len(new_baseline.entries)} finding(s) "
-            f"to {args.write_baseline}"
-        )
-        return EXIT_CLEAN
-
+    result = run_program_analysis(args.paths, config)
     print(REPORTERS[args.format](result.reports))
-    if baseline is not None and result.baselined:
-        print(
-            f"baseline: {len(result.baselined)} finding(s) suppressed, "
-            f"{result.stale_baseline_entries} stale entr(y/ies)",
-            file=sys.stderr,
-        )
     return EXIT_FINDINGS if result.findings else EXIT_CLEAN

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from pathlib import PurePosixPath
+from typing import Iterable
 
 
-def _collect_aliases(tree: ast.Module) -> dict[str, str]:
+def collect_aliases(
+    nodes: Iterable[ast.AST], package_parts: list[str] | None = None
+) -> dict[str, str]:
     """Map local names to the canonical dotted path they were imported as.
 
     ``import numpy as np``                 -> ``{"np": "numpy"}``
@@ -21,21 +23,32 @@ def _collect_aliases(tree: ast.Module) -> dict[str, str]:
     ``from numpy.random import default_rng`` ->
     ``{"default_rng": "numpy.random.default_rng"}``
 
-    Only module-level and function-level ``import`` statements are
-    considered; attribute reassignments are out of scope for a linter.
+    Relative imports are resolved against ``package_parts``, the dotted
+    parts of the importing module's package; with ``None`` they are
+    skipped.  Only ``import`` statements (at any depth) are considered;
+    attribute reassignments are out of scope for a linter.
     """
     aliases: dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for item in node.names:
                 local = item.asname or item.name.split(".")[0]
                 target = item.name if item.asname else item.name.split(".")[0]
                 aliases[local] = target
-        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                base = node.module or ""
+            elif package_parts is None or node.level - 1 > len(package_parts):
+                continue  # per-file view, or beyond the analyzed root
+            else:
+                up = package_parts[: len(package_parts) - (node.level - 1)]
+                base = ".".join(up + ([node.module] if node.module else []))
+            if not base:
+                continue
             for item in node.names:
                 if item.name == "*":
                     continue
-                aliases[item.asname or item.name] = f"{node.module}.{item.name}"
+                aliases[item.asname or item.name] = f"{base}.{item.name}"
     return aliases
 
 
@@ -61,18 +74,21 @@ class FileContext:
     """Everything a rule needs to analyze one file."""
 
     path: str
-    lines: list[str] = field(default_factory=list)
     tree: ast.Module = field(default_factory=ast.Module)
+    #: Every node of ``tree`` in ``ast.walk`` (breadth-first) order — the
+    #: file's one traversal, shared by the rules and summary extraction.
+    nodes: list[ast.AST] = field(default_factory=list)
     aliases: dict[str, str] = field(default_factory=dict)
 
     @classmethod
     def parse(cls, path: str, source: str) -> "FileContext":
         tree = ast.parse(source, filename=path)
+        nodes = list(ast.walk(tree))
         return cls(
             path=path,
-            lines=source.splitlines(),
             tree=tree,
-            aliases=_collect_aliases(tree),
+            nodes=nodes,
+            aliases=collect_aliases(nodes),
         )
 
     # ------------------------------------------------------------------
@@ -92,6 +108,3 @@ class FileContext:
         if target is None:
             return None
         return ".".join([target, *rest])
-
-    def posix_path(self) -> str:
-        return PurePosixPath(self.path).as_posix()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.lint import rules as _rules  # noqa: F401 — populates the registry
 from repro.lint.config import LintConfig
@@ -75,6 +75,14 @@ class Linter:
 
     # ------------------------------------------------------------------
     def lint_file(self, path: str | Path) -> FileReport:
+        report, _ctx, _suppressions = self.lint_file_full(path)
+        return report
+
+    def lint_file_full(
+        self, path: str | Path
+    ) -> tuple[FileReport, FileContext | None, dict[int, Suppression]]:
+        """Read ``path`` (an unreadable file is an E001) and lint it with
+        :meth:`lint_source_full`."""
         path = Path(path)
         report = FileReport(path=str(path))
         try:
@@ -85,8 +93,8 @@ class Linter:
             report.findings.append(
                 Finding(PARSE_ERROR_RULE_ID, str(path), 1, 1, f"cannot read file: {exc}")
             )
-            return report
-        return self.lint_source(source, str(path), report)
+            return report, None, {}
+        return self.lint_source_full(source, str(path), report)
 
     def lint_source(
         self, source: str, path: str = "<string>", report: FileReport | None = None
@@ -132,7 +140,6 @@ class Linter:
             for finding in rule.check(ctx):
                 suppression = suppressions.get(finding.line)
                 if suppression is not None and suppression.covers(finding.rule):
-                    suppression.used = True
                     report.suppressed.append(finding)
                 else:
                     report.findings.append(finding)
@@ -140,29 +147,9 @@ class Linter:
         report.suppressed.sort(key=Finding.sort_key)
         return report, ctx, suppressions
 
-    # ------------------------------------------------------------------
-    def run(self, paths: Sequence[str | Path]) -> list[FileReport]:
-        return [self.lint_file(p) for p in discover_files(paths, self.config)]
-
-
-def lint_paths(
-    paths: Sequence[str | Path], config: LintConfig | None = None
-) -> tuple[list[Finding], list[FileReport]]:
-    """Convenience API: lint paths, return (all findings, per-file reports)."""
-    linter = Linter(config)
-    reports = linter.run(paths)
-    findings = [f for report in reports for f in report.findings]
-    return findings, reports
-
 
 __all__ = [
     "FileReport",
     "Linter",
     "discover_files",
-    "lint_paths",
 ]
-
-
-def _iter_all(reports: Iterable[FileReport]) -> Iterable[Finding]:
-    for report in reports:
-        yield from report.findings

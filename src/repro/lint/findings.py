@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: Rule id reserved for engine-level diagnostics about suppression comments.
 SUPPRESSION_RULE_ID = "R000"
@@ -52,8 +52,6 @@ class Suppression:
     line: int
     codes: frozenset[str]
     reason: str
-    #: Populated by the engine when the suppression absorbed a finding.
-    used: bool = field(default=False, compare=False)
 
     def covers(self, rule_id: str) -> bool:
         return rule_id in self.codes or "all" in self.codes

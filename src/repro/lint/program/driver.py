@@ -1,34 +1,27 @@
-"""Orchestration: discovery → cache → (pooled) analysis → program rules.
+"""Orchestration: discover → parse once, per-file rules + summary → program rules.
 
-``run_program_analysis`` is the v2 entry point the CLI calls.  It
-subsumes the per-file pass: every file gets its per-file findings
-exactly as ``Linter.run`` would produce them, *plus* a cached
-:class:`~repro.lint.program.summary.FileSummary`; summaries are grouped
-into analysis scopes and the whole-program rules (R010–R014) run over a
+``run_program_analysis`` is the entry point the CLI calls.  It subsumes
+the per-file pass: every file is read and parsed once, gets its per-file
+findings exactly as ``Linter.lint_file`` produces them, and yields a
+:class:`~repro.lint.program.summary.FileSummary` extracted from the same
+parse.  Summaries are grouped into analysis scopes and the whole-program
+rules (R010–R014) run over a
 :class:`~repro.lint.program.graph.ProgramIndex` per scope.
 """
 
 from __future__ import annotations
 
-import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from repro.lint import ENGINE_VERSION
 from repro.lint.config import LintConfig
 from repro.lint.engine import FileReport, Linter, discover_files
-from repro.lint.findings import PARSE_ERROR_RULE_ID, Finding
+from repro.lint.findings import Finding
 from repro.lint.program import passes as _passes  # noqa: F401 — registers R010-R014
-from repro.lint.program.baseline import Baseline
-from repro.lint.program.cache import DEFAULT_CACHE_DIR, AnalysisCache, CacheStats
 from repro.lint.program.graph import ProgramIndex, group_by_scope, module_name_for
 from repro.lint.program.summary import FileSummary, extract_summary
-from repro.lint.registry import RULES, ProgramRule
-
-#: Below this many cold files a process pool costs more than it saves.
-_POOL_THRESHOLD = 8
+from repro.lint.registry import RULES
 
 
 @dataclass
@@ -36,184 +29,57 @@ class ProgramResult:
     """Outcome of one whole-program lint run."""
 
     reports: list[FileReport] = field(default_factory=list)
-    stats: CacheStats = field(default_factory=CacheStats)
-    #: Baselined findings that were filtered from the reports.
-    baselined: list[Finding] = field(default_factory=list)
-    #: Baseline entries that matched nothing (candidates for pruning).
-    stale_baseline_entries: int = 0
-    #: path -> raw source lines, for baseline fingerprinting.
-    sources: dict[str, list[str]] = field(default_factory=dict)
 
     @property
     def findings(self) -> list[Finding]:
         return [f for report in self.reports for f in report.findings]
 
-    @property
-    def ok(self) -> bool:
-        return all(report.ok for report in self.reports)
-
-
-# ----------------------------------------------------------------------
-# per-file analysis (runs in the worker processes for cold files)
-# ----------------------------------------------------------------------
-def _analyze_file(
-    args: tuple[str, str, LintConfig],
-) -> tuple[str, FileReport, FileSummary | None]:
-    """Per-file pass + summary extraction from one parse."""
-    path_str, source, config = args
-    linter = Linter(config)
-    report, ctx, suppressions = linter.lint_source_full(source, path_str)
-    if ctx is None:
-        return path_str, report, None
-    module, package, is_init = module_name_for(Path(path_str))
-    summary = extract_summary(
-        ctx.tree,
-        path_str,
-        module,
-        package,
-        is_init,
-        suppressions={line: sorted(s.codes) for line, s in suppressions.items()},
-    )
-    return path_str, report, summary
-
-
-def _analyze_cold(
-    cold: list[tuple[str, str]], config: LintConfig, jobs: int
-) -> list[tuple[str, FileReport, FileSummary | None]]:
-    tasks = [(path, source, config) for path, source in cold]
-    if jobs > 1 and len(cold) >= _POOL_THRESHOLD:
-        try:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                return list(pool.map(_analyze_file, tasks, chunksize=4))
-        except (OSError, ValueError):  # no fork/spawn available: degrade
-            pass
-    return [_analyze_file(task) for task in tasks]
-
-
-# ----------------------------------------------------------------------
-def _cache_salt(config: LintConfig) -> str:
-    fingerprint = json.dumps(
-        {
-            "select": sorted(config.select),
-            "ignore": sorted(config.ignore),
-            "per_path_ignores": {
-                k: sorted(v) for k, v in sorted(config.per_path_ignores.items())
-            },
-        },
-        sort_keys=True,
-    )
-    return AnalysisCache.salt_for(ENGINE_VERSION, sorted(RULES) + [fingerprint])
-
-
-def _program_rules() -> list[ProgramRule]:
-    return [
-        cls()
-        for rid, cls in sorted(RULES.items())
-        if cls.scope == "program"
-    ]
-
 
 def run_program_analysis(
-    paths: Sequence[str | Path],
-    config: LintConfig | None = None,
-    *,
-    cache_dir: str | Path = DEFAULT_CACHE_DIR,
-    use_cache: bool = True,
-    jobs: int = 1,
-    baseline: Baseline | None = None,
-    program: bool = True,
+    paths: Sequence[str | Path], config: LintConfig
 ) -> ProgramResult:
     """Lint ``paths`` with both the per-file and whole-program rules."""
-    config = config if config is not None else LintConfig()
-    Linter(config)  # validates select/ignore rule ids up front
-    files = discover_files(paths, config)
-
-    cache = AnalysisCache(cache_dir, _cache_salt(config), enabled=use_cache)
-    result = ProgramResult(stats=cache.stats)
-
+    linter = Linter(config)  # validates select/ignore rule ids up front
     reports: dict[str, FileReport] = {}
     summaries: list[FileSummary] = []
-    cold: list[tuple[str, str]] = []
-    cold_sources: dict[str, str] = {}
-
-    for path in files:
-        path_str = str(path)
-        try:
-            source = path.read_text(encoding="utf-8-sig")
-        except (OSError, UnicodeDecodeError, ValueError) as exc:
-            report = FileReport(path=path_str)
-            report.findings.append(
-                Finding(PARSE_ERROR_RULE_ID, path_str, 1, 1, f"cannot read file: {exc}")
+    for path in discover_files(paths, config):
+        report, ctx, suppressions = linter.lint_file_full(path)
+        reports[report.path] = report
+        if ctx is not None:
+            module, package, is_init = module_name_for(path)
+            summaries.append(
+                extract_summary(
+                    ctx,
+                    module,
+                    package,
+                    is_init,
+                    suppressions={
+                        line: sorted(s.codes) for line, s in suppressions.items()
+                    },
+                )
             )
-            reports[path_str] = report
-            continue
-        result.sources[path_str] = source.splitlines()
-        cached = cache.load(path_str, source)
-        if cached is not None:
-            report = FileReport(
-                path=path_str,
-                findings=list(cached.findings),
-                suppressed=list(cached.suppressed),
-            )
-            reports[path_str] = report
-            summaries.append(cached.summary)
-        else:
-            cold.append((path_str, source))
-            cold_sources[path_str] = source
 
-    for path_str, report, summary in _analyze_cold(cold, config, jobs):
-        reports[path_str] = report
-        if summary is not None:
-            summaries.append(summary)
-            cache.store(
-                path_str,
-                cold_sources[path_str],
-                summary,
-                report.findings,
-                report.suppressed,
-            )
-        else:
-            cache.stats.analyzed.append(path_str)
-
-    # ------------------------------------------------------------------
-    # whole-program passes
-    # ------------------------------------------------------------------
-    if program and summaries:
-        rules = _program_rules()
-        program_ids = sorted(rule.id for rule in rules)
-        for scope in group_by_scope(summaries):
-            index = ProgramIndex(scope)
-            suppression_map = {s.path: s.suppressions for s in scope}
-            for rule in rules:
-                for finding in rule.check_program(index):
-                    report = reports.get(finding.path)
-                    if report is None:  # defensive: unknown path
-                        continue
-                    active = config.rules_for(Path(finding.path), program_ids)
-                    if finding.rule not in active:
-                        continue
-                    codes = suppression_map.get(finding.path, {}).get(finding.line)
-                    if codes and (finding.rule in codes or "all" in codes):
-                        report.suppressed.append(finding)
-                    else:
-                        report.findings.append(finding)
-
-    # ------------------------------------------------------------------
-    # baseline
-    # ------------------------------------------------------------------
-    if baseline is not None:
-        for report in reports.values():
-            kept, baselined = baseline.split(report.findings, result.sources)
-            report.findings = kept
-            result.baselined.extend(baselined)
-        result.baselined.sort(key=Finding.sort_key)
-        result.stale_baseline_entries = len(baseline.stale)
+    rules = [cls() for _, cls in sorted(RULES.items()) if cls.scope == "program"]
+    program_ids = sorted(rule.id for rule in rules)
+    for scope in group_by_scope(summaries):
+        index = ProgramIndex(scope)
+        suppression_map = {s.path: s.suppressions for s in scope}
+        for rule in rules:
+            for finding in rule.check_program(index):
+                report = reports[finding.path]
+                active = config.rules_for(Path(finding.path), program_ids)
+                if finding.rule not in active:
+                    continue
+                codes = suppression_map[finding.path].get(finding.line)
+                if codes and (finding.rule in codes or "all" in codes):
+                    report.suppressed.append(finding)
+                else:
+                    report.findings.append(finding)
 
     for report in reports.values():
         report.findings.sort(key=Finding.sort_key)
         report.suppressed.sort(key=Finding.sort_key)
-    result.reports = [reports[p] for p in sorted(reports)]
-    return result
+    return ProgramResult(reports=[reports[p] for p in sorted(reports)])
 
 
 __all__ = ["ProgramResult", "run_program_analysis"]

@@ -2,14 +2,14 @@
 
 Each rule consumes a :class:`~repro.lint.program.graph.ProgramIndex`
 (one per analysis scope) and yields ordinary findings; the driver
-applies per-path configuration, inline suppressions, and the baseline
-exactly as it does for per-file rules.
+applies per-path configuration and inline suppressions exactly as it
+does for per-file rules.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.lint.findings import Finding
 from repro.lint.program.graph import IndexedFunction, ProgramIndex
@@ -318,13 +318,3 @@ class ClockIntoRecordedValues(ProgramRule):
                             "the clock differ on every run"
                         ),
                     )
-
-
-def run_program_rules(
-    index: ProgramIndex, rules: Iterable[ProgramRule]
-) -> list[Finding]:
-    """All findings of the given program rules over one index."""
-    findings: list[Finding] = []
-    for rule in rules:
-        findings.extend(rule.check_program(index))
-    return findings

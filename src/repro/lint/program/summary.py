@@ -1,9 +1,9 @@
 """Per-file fact extraction for the whole-program passes.
 
-One AST walk distills a :class:`FileSummary` — everything the program
-rules need, and nothing they don't, so summaries are small, picklable,
-JSON-serializable, and cacheable by content hash.  The heart is a
-two-color intra-procedural taint analysis:
+From the per-file pass's parse (:class:`~repro.lint.context.FileContext`
+and its shared node list) this distills a :class:`FileSummary` —
+everything the program rules need, and nothing they don't.  The heart is
+a two-color intra-procedural taint analysis:
 
 - **seed** taint tracks values derived from the SeedSequence tree
   (``seed``/``rng`` parameters, ``*.seed`` attribute loads, RNG
@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field
 
-from repro.lint.context import attribute_chain
+from repro.lint.context import FileContext, attribute_chain, collect_aliases
 from repro.lint.rules import _SEEDED_CONSTRUCTORS, WallClockInResults
 
 #: Resolved call targets that *create* an RNG stream.  A call with at
@@ -229,53 +229,6 @@ class FileSummary:
     #: line -> suppression codes, so program findings honor inline
     #: ``# reprolint: disable=`` comments without re-reading the file.
     suppressions: dict[int, list[str]] = field(default_factory=dict)
-
-    def with_path(self, path: str) -> "FileSummary":
-        """Copy with a rewritten path (content-addressed cache hits on a
-        moved file carry the old path string)."""
-        if path == self.path:
-            return self
-        clone = replace(self, path=path)
-        return clone
-
-    # -- serialization (cache) -----------------------------------------
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FileSummary":
-        data = dict(data)
-        data["functions"] = [_function_from_dict(f) for f in data.get("functions", [])]
-        data["classes"] = [
-            ClassFacts(
-                name=c["name"],
-                line=c["line"],
-                col=c["col"],
-                bases=list(c.get("bases", [])),
-                methods={
-                    name: _function_from_dict(m)
-                    for name, m in c.get("methods", {}).items()
-                },
-            )
-            for c in data.get("classes", [])
-        ]
-        data["contract_calls"] = [
-            ContractCall(**c) for c in data.get("contract_calls", [])
-        ]
-        data["suppressions"] = {
-            int(line): list(codes)
-            for line, codes in data.get("suppressions", {}).items()
-        }
-        return cls(**data)
-
-
-def _function_from_dict(data: dict) -> FunctionFacts:
-    data = dict(data)
-    data["seed_params"] = [SeedParamUse(**u) for u in data.get("seed_params", [])]
-    data["sink_calls"] = [SinkCall(**s) for s in data.get("sink_calls", [])]
-    data["dict_writes"] = [DictWrite(**w) for w in data.get("dict_writes", [])]
-    data["hash_sink_args"] = [HashSinkArg(**h) for h in data.get("hash_sink_args", [])]
-    return FunctionFacts(**data)
 
 
 # ----------------------------------------------------------------------
@@ -604,8 +557,9 @@ def _extract_function(
         analyzer.env[use.name] = Taints(seed=Taint(definite=True))
     analyzer.process(node.body)
 
+    scope = list(_walk_scope(node))
     return_taints = _CLEAN
-    for sub in _walk_scope(node):
+    for sub in scope:
         if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
             if is_seedish(sub.attr):
                 facts.reads_seed_attr = True
@@ -660,19 +614,20 @@ def _extract_function(
     facts.return_clock_definite = return_taints.clock.definite
     facts.return_clock_deps = sorted(return_taints.clock.deps)
 
-    _extract_record_schema(node, analyzer, facts)
+    _extract_record_schema(node, scope, analyzer, facts)
     return facts
 
 
 def _extract_record_schema(
     node: ast.FunctionDef | ast.AsyncFunctionDef,
+    scope: list[ast.AST],
     analyzer: _FunctionAnalyzer,
     facts: FunctionFacts,
 ) -> None:
     """String dict keys written / read inside the function (R013, R014)."""
     write_keys: list[str] = []
     read_keys: list[str] = []
-    for sub in _walk_scope(node):
+    for sub in scope:
         if isinstance(sub, ast.Dict):
             for key_node, value_node in zip(sub.keys, sub.values):
                 if isinstance(key_node, ast.Constant) and isinstance(
@@ -735,58 +690,34 @@ def _extract_record_schema(
 # ----------------------------------------------------------------------
 # module-level extraction
 # ----------------------------------------------------------------------
-def _collect_aliases_with_relative(tree: ast.Module, module: str, is_init: bool) -> dict[str, str]:
-    """Alias map like FileContext's, but resolving relative imports
-    against the module's own dotted name."""
-    aliases: dict[str, str] = {}
-    parts = module.split(".") if module else []
-    package_parts = parts if is_init else parts[:-1]
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for item in node.names:
-                local = item.asname or item.name.split(".")[0]
-                target = item.name if item.asname else item.name.split(".")[0]
-                aliases[local] = target
-        elif isinstance(node, ast.ImportFrom):
-            if node.level == 0:
-                base = node.module or ""
-            else:
-                up = package_parts[: len(package_parts) - (node.level - 1)]
-                if node.level - 1 > len(package_parts):
-                    continue  # beyond the analyzed root — unresolvable
-                base = ".".join(up + ([node.module] if node.module else []))
-            if not base:
-                continue
-            for item in node.names:
-                if item.name == "*":
-                    continue
-                aliases[item.asname or item.name] = f"{base}.{item.name}"
-    return aliases
-
-
 _CONTRACT_METHODS = {"suggest", "observe"}
 
 
 def extract_summary(
-    tree: ast.Module,
-    path: str,
+    ctx: FileContext,
     module: str,
     package: str,
     is_init: bool,
     suppressions: dict[int, list[str]] | None = None,
 ) -> FileSummary:
-    """Distill one parsed file into its :class:`FileSummary`."""
+    """Distill one parsed file into its :class:`FileSummary`.
+
+    Module-wide facts come from ``ctx.nodes``; only the top-level
+    functions and classes are descended into again, scope by scope.
+    """
     summary = FileSummary(
-        path=path,
+        path=ctx.path,
         module=module,
         package=package,
         is_init=is_init,
         suppressions=suppressions or {},
     )
-    summary.aliases = _collect_aliases_with_relative(tree, module, is_init)
+    # Unlike the per-file view, summaries resolve relative imports.
+    parts = module.split(".") if module else []
+    summary.aliases = collect_aliases(ctx.nodes, parts if is_init else parts[:-1])
 
     attr_loads: set[str] = set()
-    for node in ast.walk(tree):
+    for node in ctx.nodes:
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             attr_loads.add(node.attr)
         if (
@@ -812,7 +743,7 @@ def extract_summary(
             )
     summary.attr_loads = sorted(attr_loads)
 
-    for stmt in tree.body:
+    for stmt in ctx.tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             summary.functions.append(
                 _extract_function(stmt, summary, module, None)

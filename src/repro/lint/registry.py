@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Type
+from typing import Iterable, Type
 
 from repro.lint.context import FileContext
 from repro.lint.findings import Finding
@@ -78,20 +78,3 @@ def register(cls: Type[Rule]) -> Type[Rule]:
 def rule_catalog() -> list[tuple[str, str, str]]:
     """``(id, name, summary)`` triples, sorted by rule id."""
     return sorted((rid, r.name, r.summary) for rid, r in RULES.items())
-
-
-def walk_with_parents(tree) -> Iterable[tuple[object, object | None]]:
-    """Yield ``(node, parent)`` pairs in document order."""
-    import ast
-
-    stack: list[tuple[ast.AST, ast.AST | None]] = [(tree, None)]
-    while stack:
-        node, parent = stack.pop()
-        yield node, parent
-        children = list(ast.iter_child_nodes(node))
-        children.reverse()
-        for child in children:
-            stack.append((child, node))
-
-
-Checker = Callable[[FileContext], Iterable[Finding]]

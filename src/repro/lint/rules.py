@@ -1,4 +1,4 @@
-"""The initial reprolint rule set (R001–R008).
+"""The per-file reprolint rule set (R001–R009).
 
 Each rule targets a failure mode this codebase has actually hit (or is one
 refactor away from hitting): seedless RNG fallbacks, shadow generator
@@ -72,7 +72,7 @@ class SeedlessRNG(Rule):
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             resolved = ctx.resolve(node.func)
@@ -214,7 +214,7 @@ class UnorderedIteration(Rule):
             )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if isinstance(node, (ast.For, ast.AsyncFor)):
                 yield from self._check_iterable(ctx, node.iter)
             elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
@@ -332,7 +332,7 @@ class OptimizerContract(Rule):
             )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        classes = [n for n in ast.walk(ctx.tree) if isinstance(n, ast.ClassDef)]
+        classes = [n for n in ctx.nodes if isinstance(n, ast.ClassDef)]
         optimizers = self._optimizer_classes(classes)
         for cls in classes:
             methods = self._methods(cls)
@@ -389,7 +389,7 @@ class MutableDefaultArgument(Rule):
         return False
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 continue
             defaults = list(node.args.defaults) + [
@@ -440,7 +440,7 @@ class SwallowedException(Rule):
         return True
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.ExceptHandler):
                 continue
             if node.type is None:
@@ -483,7 +483,7 @@ class WallClockInResults(Rule):
     }
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Call):
                 continue
             resolved = ctx.resolve(node.func)
@@ -532,7 +532,7 @@ class FloatEquality(Rule):
         return value
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.Compare):
                 continue
             operands = [node.left, *node.comparators]
@@ -586,7 +586,7 @@ class UnclassifiedExceptionHandler(Rule):
         return False
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
+        for node in ctx.nodes:
             if not isinstance(node, ast.ExceptHandler):
                 continue
             if not SwallowedException._catches_everything(node):
@@ -601,16 +601,3 @@ class UnclassifiedExceptionHandler(Rule):
                 "failure (or suppress with a reason explaining why losing "
                 "it is safe)",
             )
-
-
-def all_rule_ids() -> list[str]:
-    from repro.lint.registry import RULES
-
-    return sorted(RULES)
-
-
-def _ensure_registered() -> None:
-    """Importing this module populates the registry; nothing else to do."""
-
-
-_ensure_registered()

@@ -125,20 +125,18 @@ def test_module_entry_point_fails_on_fixture():
 
 
 # ----------------------------------------------------------------------
-# v2: program passes, cache, baseline, SARIF
+# program passes, SARIF
 # ----------------------------------------------------------------------
 PROGRAM_FIXTURES = FIXTURES / "program"
 
 
-def test_program_rules_fire_through_the_cli(capsys, tmp_path):
+def test_program_rules_fire_through_the_cli(capsys):
     code = main(
         [
             str(PROGRAM_FIXTURES / "seedpkg"),
             "--no-config",
             "--select",
             "R010,R011",
-            "--cache-dir",
-            str(tmp_path / "cache"),
         ]
     )
     assert code == EXIT_FINDINGS
@@ -146,29 +144,28 @@ def test_program_rules_fire_through_the_cli(capsys, tmp_path):
     assert "R010" in out and "R011" in out
 
 
-def test_no_program_flag_suppresses_program_rules(capsys, tmp_path):
+def test_no_program_flag_suppresses_program_rules(capsys):
+    """``--ignore`` is the spelling for skipping program rules."""
     code = main(
         [
             str(PROGRAM_FIXTURES / "seedpkg"),
             "--no-config",
             "--select",
             "R010,R011",
-            "--no-program",
-            "--cache-dir",
-            str(tmp_path / "cache"),
+            "--ignore",
+            "R010,R011",
         ]
     )
     assert code == EXIT_CLEAN
 
 
-def test_sarif_format_through_the_cli(capsys, tmp_path):
+def test_sarif_format_through_the_cli(capsys):
     code = main(
         [
             str(FIXTURES / "r001_pos.py"),
             "--no-config",
             "--format",
             "sarif",
-            "--no-cache",
         ]
     )
     assert code == EXIT_FINDINGS
@@ -177,53 +174,9 @@ def test_sarif_format_through_the_cli(capsys, tmp_path):
     assert doc["runs"][0]["results"]
 
 
-def test_write_then_consume_baseline(capsys, tmp_path):
-    baseline = tmp_path / "baseline.json"
-    common = [
-        str(PROGRAM_FIXTURES / "seedpkg"),
-        "--no-config",
-        "--select",
-        "R010,R011",
-        "--cache-dir",
-        str(tmp_path / "cache"),
-    ]
-    assert main([*common, "--write-baseline", str(baseline)]) == EXIT_CLEAN
-    assert "recorded" in capsys.readouterr().out
-    assert main([*common, "--baseline", str(baseline)]) == EXIT_CLEAN
-    assert "suppressed" in capsys.readouterr().err
-
-
-def test_missing_baseline_is_usage_error(capsys, tmp_path):
-    code = main(
-        [
-            str(FIXTURES / "r001_neg.py"),
-            "--no-config",
-            "--baseline",
-            str(tmp_path / "nope.json"),
-        ]
-    )
-    assert code == EXIT_ERROR
-
-
 def test_list_rules_includes_program_rules(capsys):
     code = main(["--list-rules"])
     assert code == EXIT_CLEAN
     out = capsys.readouterr().out
     for rule_id in ("R010", "R011", "R012", "R013", "R014"):
         assert rule_id in out
-
-
-def test_cache_dir_is_created_and_reused(tmp_path, capsys):
-    cache = tmp_path / "cache"
-    argv = [
-        str(PROGRAM_FIXTURES / "optpkg"),
-        "--no-config",
-        "--select",
-        "R012",
-        "--cache-dir",
-        str(cache),
-    ]
-    first = main(argv)
-    capsys.readouterr()
-    assert cache.exists() and any(cache.rglob("*.json"))
-    assert main(argv) == first

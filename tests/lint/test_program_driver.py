@@ -1,10 +1,10 @@
-"""Driver infrastructure: incremental cache, baseline, suppressions, pool."""
+"""Driver: one parse and one AST walk per file, suppressions, config."""
 
+import ast
 import shutil
 from pathlib import Path
 
 from repro.lint import LintConfig
-from repro.lint.program.baseline import Baseline
 from repro.lint.program.driver import run_program_analysis
 from repro.lint.program.graph import module_name_for
 
@@ -17,40 +17,38 @@ def copy_pkg(tmp_path: Path, name: str) -> Path:
     return dst
 
 
-def run(paths, tmp_path, **kwargs):
-    kwargs.setdefault("cache_dir", tmp_path / "cache")
-    return run_program_analysis(paths, LintConfig(), **kwargs)
+def run(paths):
+    return run_program_analysis(paths, LintConfig())
 
 
 # ----------------------------------------------------------------------
-# incremental cache
+# one pass
 # ----------------------------------------------------------------------
-def test_warm_cache_reanalyzes_nothing(tmp_path):
-    pkg = copy_pkg(tmp_path, "seedpkg")
-    cold = run([pkg], tmp_path)
-    assert cold.stats.n_analyzed == 3 and cold.stats.n_hits == 0
-    warm = run([pkg], tmp_path)
-    assert warm.stats.n_analyzed == 0 and warm.stats.n_hits == 3
-    assert [f.to_dict() for f in warm.findings] == [
-        f.to_dict() for f in cold.findings
-    ]
+def test_each_module_tree_is_walked_once(monkeypatch):
+    """The per-file rules and the summary extraction share one
+    ``ast.walk`` of each module instead of re-walking it per consumer."""
+    walked: list[ast.Module] = []
+    real_walk = ast.walk
 
+    def counting_walk(node):
+        if isinstance(node, ast.Module):
+            walked.append(node)
+        return real_walk(node)
 
-def test_touching_one_file_reanalyzes_only_that_file(tmp_path):
-    pkg = copy_pkg(tmp_path, "seedpkg")
-    run([pkg], tmp_path)
-    dirty = pkg / "seeds.py"
-    dirty.write_text(dirty.read_text() + "\n# cache-busting comment\n")
-    result = run([pkg], tmp_path)
-    assert result.stats.analyzed == [str(dirty)]
-    assert result.stats.n_hits == 2
+    monkeypatch.setattr(ast, "walk", counting_walk)
+    paths = [FIXTURES / name for name in ("seedpkg", "recpkg", "optpkg")]
+    result = run(paths)
+    n_files = sum(1 for path in paths for _ in path.rglob("*.py"))
+    assert len(result.reports) == n_files > 0
+    assert len(walked) == n_files
+    assert len({id(tree) for tree in walked}) == n_files
 
 
 def test_semantic_edit_through_warm_cache_updates_program_findings(tmp_path):
-    """A one-file edit must flow into the cross-module verdicts even when
-    every other file comes from the cache."""
+    """A one-file edit flows into the cross-module verdicts of the next
+    run (every run is cold: there is no cache to keep warm)."""
     pkg = copy_pkg(tmp_path, "seedpkg")
-    before = run([pkg], tmp_path)
+    before = run([pkg])
     assert any(f.rule == "R010" for f in before.findings)
     flow = pkg / "flow.py"
     flow.write_text(
@@ -58,102 +56,8 @@ def test_semantic_edit_through_warm_cache_updates_program_findings(tmp_path):
             "value = unrelated_value()", "value = derive_seed(seed)"
         )
     )
-    after = run([pkg], tmp_path)
+    after = run([pkg])
     assert not any(f.rule == "R010" for f in after.findings)
-    assert Path(after.stats.analyzed[0]).name == "flow.py"
-
-
-def test_no_cache_flag_disables_reads_and_writes(tmp_path):
-    pkg = copy_pkg(tmp_path, "seedpkg")
-    run([pkg], tmp_path, use_cache=False)
-    assert not (tmp_path / "cache").exists()
-    result = run([pkg], tmp_path, use_cache=False)
-    assert result.stats.n_hits == 0 and result.stats.n_analyzed == 3
-
-
-def test_corrupt_cache_entry_degrades_to_cold_analysis(tmp_path):
-    pkg = copy_pkg(tmp_path, "seedpkg")
-    clean = run([pkg], tmp_path)
-    for entry in (tmp_path / "cache").rglob("*.json"):
-        entry.write_text("{ not json")
-    result = run([pkg], tmp_path)
-    assert result.stats.n_analyzed == 3
-    assert [f.to_dict() for f in result.findings] == [
-        f.to_dict() for f in clean.findings
-    ]
-
-
-def test_pool_and_serial_agree(tmp_path):
-    paths = [copy_pkg(tmp_path, n) for n in ("seedpkg", "recpkg", "optpkg")]
-    serial = run(paths, tmp_path, use_cache=False, jobs=1)
-    pooled = run(paths, tmp_path, use_cache=False, jobs=4)
-    assert [f.to_dict() for f in serial.findings] == [
-        f.to_dict() for f in pooled.findings
-    ]
-
-
-# ----------------------------------------------------------------------
-# baseline
-# ----------------------------------------------------------------------
-def test_baseline_round_trip_silences_then_new_finding_escapes(tmp_path):
-    pkg = copy_pkg(tmp_path, "seedpkg")
-    first = run([pkg], tmp_path)
-    assert first.findings
-    baseline_path = tmp_path / "baseline.json"
-    Baseline.from_findings(first.findings, first.sources).save(baseline_path)
-
-    clean = run([pkg], tmp_path, baseline=Baseline.load(baseline_path))
-    assert clean.findings == []
-    assert len(clean.baselined) == len(first.findings)
-    assert clean.stale_baseline_entries == 0
-
-    flow = pkg / "flow.py"
-    flow.write_text(
-        flow.read_text()
-        + "\n\nclass NewDropper:\n    def __init__(self, seed=None):\n        self.extra = 1\n"
-    )
-    escaped = run([pkg], tmp_path, baseline=Baseline.load(baseline_path))
-    assert [f.rule for f in escaped.findings] == ["R011"]
-    assert "NewDropper" in escaped.findings[0].message
-
-
-def test_baseline_duplicate_line_content_does_not_hide_second_defect(tmp_path):
-    """Entries carry an occurrence ordinal: a *second* finding anchored to
-    an identical source line is new and must escape."""
-    pkg = copy_pkg(tmp_path, "seedpkg")
-    first = run([pkg], tmp_path)
-    baseline_path = tmp_path / "baseline.json"
-    Baseline.from_findings(first.findings, first.sources).save(baseline_path)
-
-    flow = pkg / "flow.py"
-    # Clone DroppingSampler under a new name: its `def __init__` line has
-    # byte-identical content to the baselined one.
-    flow.write_text(
-        flow.read_text()
-        + "\n\nclass DroppingSamplerTwo:\n"
-        + "    def __init__(self, seed=None):\n"
-        + "        self._stashed_seed = seed\n"
-    )
-    result = run([pkg], tmp_path, baseline=Baseline.load(baseline_path))
-    assert [f.rule for f in result.findings] == ["R011"]
-    assert "DroppingSamplerTwo" in result.findings[0].message
-
-
-def test_stale_baseline_entries_are_counted(tmp_path):
-    pkg = copy_pkg(tmp_path, "seedpkg")
-    first = run([pkg], tmp_path)
-    baseline_path = tmp_path / "baseline.json"
-    Baseline.from_findings(first.findings, first.sources).save(baseline_path)
-    # Fix one of the baselined defects.
-    flow = pkg / "flow.py"
-    flow.write_text(
-        flow.read_text().replace(
-            "self._stashed_seed = seed",
-            "self.rng_seed_source = __import__('numpy').random.default_rng(seed)",
-        )
-    )
-    result = run([pkg], tmp_path, baseline=Baseline.load(baseline_path))
-    assert result.stale_baseline_entries >= 1
 
 
 # ----------------------------------------------------------------------
@@ -174,7 +78,7 @@ def test_program_findings_honor_inline_suppressions(tmp_path):
         "    def __init__(self, seed=None):\n"
         "        self.extra = 2\n"
     )
-    result = run([pkg], tmp_path, use_cache=False)
+    result = run([pkg])
     report = next(r for r in result.reports if r.path.endswith("mod.py"))
     assert [f.rule for f in report.findings] == ["R011"]
     assert "LoudDropper" in report.findings[0].message
@@ -187,7 +91,7 @@ def test_program_rules_respect_per_path_ignores(tmp_path):
     config = LintConfig(
         per_path_ignores={"seedpkg": ["R010", "R011"]}, root=tmp_path
     )
-    result = run_program_analysis([pkg], config, use_cache=False)
+    result = run_program_analysis([pkg], config)
     assert not any(f.rule in ("R010", "R011") for f in result.findings)
 
 
@@ -204,6 +108,6 @@ def test_module_name_walks_init_chain():
 def test_unreadable_file_yields_e001_not_crash(tmp_path):
     target = tmp_path / "undecodable.py"
     target.write_bytes(b"\xff\xfe\x00\x00 garbage \x00")
-    result = run([tmp_path], tmp_path, use_cache=False)
+    result = run([tmp_path])
     rules = [f.rule for f in result.findings]
     assert rules.count("E001") == 1

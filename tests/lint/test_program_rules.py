@@ -14,7 +14,6 @@ def analyze(*packages, select=PROGRAM_RULES):
     result = run_program_analysis(
         [FIXTURES / p for p in packages],
         LintConfig(select=list(select)),
-        use_cache=False,
     )
     return result.findings
 
@@ -108,11 +107,10 @@ def test_packages_are_analyzed_in_separate_scopes():
 
 
 def test_program_rules_quiet_on_repo_src():
-    """The production tree carries an empty baseline for R010–R014."""
+    """The production tree raises no R010–R014 finding."""
     repo_root = Path(__file__).resolve().parents[2]
     result = run_program_analysis(
         [repo_root / "src"],
         LintConfig(select=PROGRAM_RULES),
-        use_cache=False,
     )
     assert result.findings == []
