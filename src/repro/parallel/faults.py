@@ -19,10 +19,14 @@ form tests can replay exactly:
 :func:`choose_victims` derives the set of runs to sabotage from a seed,
 so fault placement is part of the experiment's deterministic identity.
 
-Run ``python -m repro.parallel.fault_smoke --out-dir <dir>`` for the CI
-fault-smoke: a kill-and-resume round trip of a small study that asserts
-checkpoint/resume equivalence and leaves the telemetry and checkpoint
-files behind as artifacts.
+:class:`RaisingObjective`, :class:`HangingObjective` and
+:class:`TransientObjective` (with :func:`transient_schedule`) inject
+objective-level failures one layer down, at the
+:class:`~repro.resilience.GuardedObjective` boundary.
+
+The tests drive these injectors end to end: the kill-and-resume round
+trip is ``tests/parallel/test_checkpoint.py::TestResume``, and the
+guarded-boundary scenarios are ``tests/resilience``.
 """
 
 from __future__ import annotations
@@ -266,120 +270,3 @@ def choose_victims(seed: int, n_runs: int, n_victims: int = 1) -> list[int]:
     rng = np.random.default_rng(seed)
     picked = rng.choice(n_runs, size=n_victims, replace=False)
     return sorted(int(i) for i in picked)
-
-
-# ----------------------------------------------------------------------
-# CI fault-smoke: kill-and-resume round trip
-# ----------------------------------------------------------------------
-def _smoke_specs(seed: int, n_runs: int, n_iterations: int):
-    from repro.dbms.catalog import mysql_knob_space
-    from repro.experiments.runner import build_session_specs
-    from repro.parallel.spec import RegistryOptimizerFactory
-
-    space = mysql_knob_space(
-        "B",
-        knob_names=["innodb_flush_log_at_trx_commit", "innodb_log_file_size"],
-        seed=seed,
-    )
-    return build_session_specs(
-        "SYSBENCH",
-        space,
-        RegistryOptimizerFactory("random"),
-        n_runs=n_runs,
-        n_iterations=n_iterations,
-        n_initial=2,
-        seed=seed,
-    )
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Kill a study mid-flight, resume it, and assert bit-equivalence.
-
-    Phase 1 runs the study with a fault injector that keeps killing the
-    victim run's worker while ``max_retries=0``, so the study ends with
-    the victim failed and everyone else's completed results checkpointed
-    — the state a study killed by the operator would leave behind.
-    Phase 2 resumes from the checkpoint with the injector removed and
-    must (a) re-execute *only* the victim and (b) reproduce the
-    uninterrupted study's results fingerprint-for-fingerprint.
-    """
-    import argparse
-    import json
-
-    from repro.parallel.checkpoint import result_fingerprint
-    from repro.parallel.executor import ParallelExecutor
-    from repro.parallel.telemetry import attempt_records, read_telemetry
-
-    parser = argparse.ArgumentParser(prog="repro.parallel.faults")
-    parser.add_argument("--out-dir", required=True)
-    parser.add_argument("--seed", type=int, default=17)
-    parser.add_argument("--n-runs", type=int, default=4)
-    parser.add_argument("--n-iterations", type=int, default=6)
-    parser.add_argument("--n-workers", type=int, default=2)
-    args = parser.parse_args(argv)
-
-    os.makedirs(args.out_dir, exist_ok=True)
-    checkpoint = os.path.join(args.out_dir, "checkpoint.jsonl")
-    victim = choose_victims(args.seed, args.n_runs, 1)[0]
-    print(f"fault-smoke: {args.n_runs} runs, victim run {victim}")
-
-    baseline = ParallelExecutor(n_workers=1).run(
-        _smoke_specs(args.seed, args.n_runs, args.n_iterations)
-    )
-    expected = [result_fingerprint(r) for r in baseline]
-
-    interrupted = _smoke_specs(args.seed, args.n_runs, args.n_iterations)
-    interrupted[victim].iteration_hook = WorkerKiller(
-        at_iteration=2, arm_dir=args.out_dir, label=f"smoke-{victim}", once=False
-    )
-    phase1 = ParallelExecutor(
-        n_workers=args.n_workers,
-        max_retries=0,
-        telemetry_path=os.path.join(args.out_dir, "telemetry-interrupted.jsonl"),
-        checkpoint_path=checkpoint,
-    ).run(interrupted)
-    survivors = [r for r in phase1 if not r.failed]
-    print(
-        f"phase 1: pool broken by run {victim}; "
-        f"{len(survivors)}/{args.n_runs} runs completed and checkpointed"
-    )
-    failures = []
-    if not phase1[victim].failed:
-        failures.append("victim was expected to fail in phase 1")
-    if any(r.failed for i, r in enumerate(phase1) if i != victim):
-        failures.append("a non-victim run failed in phase 1")
-
-    resumed_telemetry = os.path.join(args.out_dir, "telemetry-resumed.jsonl")
-    phase2 = ParallelExecutor(
-        n_workers=args.n_workers,
-        telemetry_path=resumed_telemetry,
-        checkpoint_path=checkpoint,
-    ).run(_smoke_specs(args.seed, args.n_runs, args.n_iterations))
-    resumed = [result_fingerprint(r) for r in phase2]
-    re_executed = sorted(
-        {r["run_index"] for r in attempt_records(read_telemetry(resumed_telemetry))}
-    )
-    print(f"phase 2: re-executed runs {re_executed}, expected [{victim}]")
-    if resumed != expected:
-        mismatched = [i for i, (a, b) in enumerate(zip(expected, resumed)) if a != b]
-        failures.append(f"resumed study diverged from baseline on runs {mismatched}")
-    if re_executed != [victim]:
-        failures.append(f"resume re-executed completed runs: {re_executed}")
-
-    summary = {
-        "victim": victim,
-        "survivors_phase1": len(survivors),
-        "re_executed": re_executed,
-        "equivalent": resumed == expected,
-        "failures": failures,
-    }
-    with open(os.path.join(args.out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-    for failure in failures:
-        print(f"FAIL: {failure}")
-    print("fault-smoke: OK" if not failures else "fault-smoke: FAILED")
-    return 1 if failures else 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,4 +1,4 @@
-"""Surrogate hot-path primitives and the tracked benchmark harness.
+"""Surrogate hot-path primitives.
 
 Every optimizer study in the paper spends its wall-clock inside a
 surrogate model.  This package holds the primitives that keep
@@ -16,11 +16,9 @@ output bit:
   :class:`PackedTrees`, the batched whole-ensemble descent behind
   forest/GBM prediction (native kernel when a C toolchain exists,
   vectorized numpy otherwise).
-- :mod:`repro.perf.bench` — ``python -m repro.perf.bench``, the
-  microbenchmark harness timing GP fit/predict, candidate-pool
-  construction, BO/SMAC/TPE iterations, and forest/GBM fit/predict;
-  emits a tracked ``benchmarks/perf/BENCH_*.json`` file and diffs two
-  of them via ``--compare`` (see ``docs/PERFORMANCE.md``).
+
+Their cost is measured inside whole tuning sessions by the session
+benchmark in ``perfbench/`` (see ``docs/PERFORMANCE.md``).
 """
 
 from repro.perf.cache import KernelCache

@@ -14,8 +14,10 @@ server boundary:
   plus a simulated-seconds cap), retries ``TRANSIENT`` failures with
   bounded seeded backoff, quarantines crash neighbourhoods, and trips a
   session-wide circuit breaker to a safe-default health probe.
-- :mod:`repro.resilience.smoke` — the CI chaos round trip
-  (``python -m repro.resilience.smoke``).
+
+The chaos scenarios that exercise this boundary end to end (the raising,
+hanging and transient objectives of :mod:`repro.parallel.faults`, and the
+simulator's own crashes) are tier-1 tests under ``tests/resilience``.
 
 ``taxonomy`` is imported eagerly (it is a stdlib-only leaf that low-level
 modules depend on); the guard is loaded lazily via PEP 562 so importing

@@ -9,8 +9,11 @@ class Configuration(Mapping[str, Any]):
     """An immutable mapping from knob names to native values.
 
     Configurations are hashable so they can key history repositories and be
-    deduplicated by optimizers.  Values are compared by string representation
-    for hashing purposes (native values may be floats).
+    deduplicated by optimizers.  The hash agrees with ``==``: it hashes the
+    values themselves, so ``1``, ``1.0`` and ``np.int64(1)`` (or ``0.0`` and
+    ``-0.0``) hash alike.  Only the values are pickled; the cached hash
+    depends on the interpreter's hash seed and is recomputed after
+    unpickling.
     """
 
     __slots__ = ("_values", "_hash")
@@ -30,8 +33,11 @@ class Configuration(Mapping[str, Any]):
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(tuple(sorted((k, repr(v)) for k, v in self._values.items())))
+            self._hash = hash(frozenset(self._values.items()))
         return self._hash
+
+    def __reduce__(self):
+        return (Configuration, (self._values,))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Configuration):

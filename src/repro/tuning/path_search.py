@@ -12,6 +12,7 @@ the strongest end-to-end design.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -122,7 +123,10 @@ class PathSearch:
         space = mysql_knob_space(
             self.instance, knob_names=ranked[: path.n_knobs], seed=self.seed
         )
-        server = MySQLServer(self.workload, self.instance, seed=self.seed + hash(path) % 1000)
+        # A stable digest, not hash(): string hashing is salted per
+        # interpreter, and the same seed must give the same session anywhere.
+        offset = zlib.crc32(str(path).encode()) % 1000
+        server = MySQLServer(self.workload, self.instance, seed=self.seed + offset)
         objective = DatabaseObjective(server, space)
         optimizer = OPTIMIZER_REGISTRY[path.optimizer](space, seed=self.seed)
         projected = [

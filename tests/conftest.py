@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -131,3 +136,29 @@ class ScalarCodec:
 def scalar_codec():
     """``ScalarCodec``, to build over a space."""
     return ScalarCodec
+
+
+@pytest.fixture
+def run_python():
+    """Run code in a fresh interpreter with a fixed string-hash seed.
+
+    Returns a function ``(code, hash_seed, stdin="") -> stdout`` that fails
+    the test if the interpreter exits non-zero.
+    """
+    src = Path(__file__).resolve().parents[1] / "src"
+
+    def run(code: str, hash_seed: int, stdin: str = "") -> str:
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            input=stdin,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    return run

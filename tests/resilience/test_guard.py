@@ -3,6 +3,7 @@ and the circuit breaker."""
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.dbms.server import MySQLServer
@@ -59,6 +60,8 @@ def test_guarded_session_completes_budget_with_clamped_errors(sysbench_space):
     assert len(errors) == 2
     assert all(not math.isnan(o.score) for o in errors)  # clamped, not NaN
     assert all("ValueError" in o.failure_reason for o in errors)
+    # Every failure, injected or natural, is clamped to a finite score.
+    assert np.isfinite(history.scores()).all()
 
 
 # ----------------------------------------------------------------------

@@ -146,6 +146,35 @@ class TestConfigurationObject:
         b = Configuration({"y": "on", "x": 1})
         assert a == b and hash(a) == hash(b)
         assert a == {"x": 1, "y": "on"}
+        # Equal values of different types (or signs of zero) hash alike.
+        for left, right in ((1, 1.0), (1, np.int64(1)), (0.0, -0.0)):
+            a, b = Configuration({"x": left}), Configuration({"x": right})
+            assert a == b and hash(a) == hash(b)
+            assert len({a, b}) == 1
+
+    def test_unpickled_hash_matches_fresh_in_another_interpreter(self, run_python):
+        """String hashes are salted per interpreter: a hash cached before
+        pickling must not travel to a process with another hash seed."""
+        writer = (
+            "import pickle\n"
+            "from repro.space import Configuration\n"
+            "c = Configuration({'mode': 'fast', 'x': 1})\n"
+            "hash(c)\n"
+            "print(pickle.dumps(c).hex())\n"
+        )
+        reader = (
+            "import pickle, sys\n"
+            "from repro.space import Configuration\n"
+            "loaded = pickle.loads(bytes.fromhex(sys.stdin.read()))\n"
+            "fresh = Configuration({'mode': 'fast', 'x': 1})\n"
+            "print(loaded == fresh, hash(loaded) == hash(fresh), len({loaded, fresh}))\n"
+        )
+        pickled = run_python(writer, hash_seed=1)
+        assert run_python(reader, hash_seed=2, stdin=pickled).split() == [
+            "True",
+            "True",
+            "1",
+        ]
 
     def test_with_values_copies(self):
         a = Configuration({"x": 1})

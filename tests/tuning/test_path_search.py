@@ -60,3 +60,15 @@ class TestPathSearch:
 
     def test_path_str(self):
         assert str(TuningPath("shap", 20, "smac")) == "shap/top-20/smac"
+
+    def test_server_noise_independent_of_hash_seed(self, run_python):
+        """One seed gives one session, whatever the interpreter's hash seed."""
+        code = (
+            "from repro.tuning.path_search import PathSearch, TuningPath\n"
+            "search = PathSearch('Voter', pool_samples=60, seed=1)\n"
+            "session = search._make_session(TuningPath('gini', 5, 'random'), 3, [])\n"
+            "default = session.space.default_configuration()\n"
+            "server = session.objective.server\n"
+            "print([server.evaluate(default).objective for _ in range(3)])\n"
+        )
+        assert run_python(code, hash_seed=1) == run_python(code, hash_seed=2)
