@@ -8,9 +8,19 @@ compared against EXPERIMENTS.md.
 
 from __future__ import annotations
 
+import faulthandler
+
 import pytest
 
 from repro.experiments.scale import bench_scale
+
+
+@pytest.fixture(autouse=True)
+def _no_hang_timeout():
+    """A bench runs for minutes, hours at paper scale: cancel the per-test
+    hang timeout (``faulthandler_timeout``) that ``pyproject.toml`` sets
+    for the test suite, which would otherwise end the run."""
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(scope="session")

@@ -664,6 +664,9 @@ class PerformanceModel:
             ),
         }
         if rng is not None:
-            for key in metrics:
-                metrics[key] *= float(np.exp(rng.normal(0.0, 0.01)))
+            # One draw per metric, in key order: the same stream and values
+            # as a scalar ``np.exp(rng.normal(0.0, 0.01))`` per metric.
+            factors = np.exp(rng.normal(0.0, 0.01, size=len(metrics))).tolist()
+            for key, factor in zip(metrics, factors):
+                metrics[key] *= factor
         return metrics

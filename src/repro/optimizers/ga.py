@@ -44,6 +44,7 @@ class GA(Optimizer):
         self.mutation_prob = mutation_prob
         self.mutation_sigma = mutation_sigma
         self.n_elites = n_elites
+        self._categorical: list[bool] = space.categorical_mask.tolist()
         self._queue: list[np.ndarray] = []
         self._evaluated: list[tuple[np.ndarray, float]] = []
         self._pending: dict[int, np.ndarray] = {}
@@ -60,16 +61,19 @@ class GA(Optimizer):
         return np.where(mask, a, b)
 
     def _mutate(self, genome: np.ndarray) -> np.ndarray:
-        out = genome.copy()
-        cat = self.space.categorical_mask
-        for j in range(len(out)):
-            if self.rng.random() >= self.mutation_prob:
+        # One gate draw per gene, then the mutation's own draw, in gene
+        # order; the genes are mutated as Python floats.
+        out = genome.tolist()
+        random, normal = self.rng.random, self.rng.normal
+        prob, sigma = self.mutation_prob, self.mutation_sigma
+        for j, categorical in enumerate(self._categorical):
+            if random() >= prob:
                 continue
-            if cat[j]:
-                out[j] = self.rng.random()
+            if categorical:
+                out[j] = random()
             else:
-                out[j] = float(np.clip(out[j] + self.rng.normal(0.0, self.mutation_sigma), 0.0, 1.0))
-        return out
+                out[j] = min(max(out[j] + normal(0.0, sigma), 0.0), 1.0)
+        return np.array(out)
 
     def _next_generation(self) -> list[np.ndarray]:
         ranked = sorted(self._evaluated, key=lambda t: t[1], reverse=True)

@@ -10,6 +10,9 @@ never formalized:
 * **Deadlines.**  A wall-clock watchdog converts hung evaluations into
   ``TIMEOUT`` observations; a simulated-seconds cap does the same for
   evaluations whose *simulated* cost exceeds the per-evaluation budget.
+  With a deadline, each guard runs its evaluations (and breaker probes)
+  on one daemon watchdog thread; a breach abandons that thread to its
+  hung call, and the next evaluation starts a fresh one.
 * **Bounded transient retries.**  ``TRANSIENT`` failures are retried a
   bounded number of times with deterministically-seeded jittered backoff
   — the retry schedule derives from the run's SeedSequence, so serial,
@@ -19,10 +22,13 @@ never formalized:
   neighbourhood, further evaluations in that region are short-circuited
   to immediate clamped failures with *zero* simulated restart cost — the
   region is known-bad, no need to pay 35 simulated seconds to re-learn it.
+  A configuration is encoded only when quarantine needs its coordinates:
+  to look it up once a region exists, or to register a config-induced
+  failure.
 * **Circuit breaker.**  After ``m`` consecutive failed evaluations the
   guard suspects the server itself (not the configs) is wedged and probes
-  the safe default configuration before letting further evaluations
-  through.
+  the safe default configuration, under the same deadline, before letting
+  further evaluations through.
 
 The guard is deliberately transparent: attribute access it does not
 intercept is delegated to the inner objective, so sessions, executors and
@@ -32,8 +38,10 @@ timers see the wrapped objective's interface unchanged.
 from __future__ import annotations
 
 import math
+import queue
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
@@ -178,6 +186,10 @@ class GuardedObjective:
         self.breaker_trips = 0
         self._breaker_open = False
         self._probe_simulated = 0.0
+        # The watchdog thread's request queue and the finalizer that stops
+        # it; None until the first deadline-bearing call and after a breach.
+        # Set here: ``__getattr__`` would find a nested guard's otherwise.
+        self._watchdog: tuple[queue.SimpleQueue, weakref.finalize] | None = None
         # Accounting.
         self.n_calls = 0
         self.n_retries = 0
@@ -203,12 +215,14 @@ class GuardedObjective:
     # ------------------------------------------------------------------
     def __call__(self, config: Mapping[str, Any]) -> Observation:
         self.n_calls += 1
-        cfg = config if isinstance(config, Configuration) else Configuration(dict(config))
-        encoded = self._space.encode(cfg)
-
-        index = self._find_quarantine(encoded)
-        if index is not None:
-            return self._short_circuit(cfg, index)
+        cfg = config if isinstance(config, Configuration) else Configuration(config)
+        # The unit encoding, computed only when quarantine needs it.
+        encoded = None
+        if self.policy.quarantine_enabled and self.quarantine_regions:
+            encoded = self._space.encode(cfg)
+            index = self._find_quarantine(encoded)
+            if index is not None:
+                return self._short_circuit(cfg, index)
 
         if self._breaker_open and not self._health_probe():
             # Breaker stays open: fail fast without touching the config.
@@ -218,11 +232,11 @@ class GuardedObjective:
                 "circuit breaker open: safe-default health probe failed",
                 simulated_seconds=0.0,
             )
-            self._after(obs, encoded)
+            self._after(obs, cfg, encoded)
             return obs
 
         obs = self._evaluate_with_retries(cfg)
-        self._after(obs, encoded)
+        self._after(obs, cfg, encoded)
         return obs
 
     # ------------------------------------------------------------------
@@ -254,10 +268,7 @@ class GuardedObjective:
     def _one_attempt(self, cfg: Configuration) -> Observation:
         policy = self.policy
         try:
-            if policy.eval_timeout_seconds is not None:
-                obs = self._call_with_watchdog(cfg, policy.eval_timeout_seconds)
-            else:
-                obs = self._inner(cfg)
+            obs = self._call_inner(cfg)
         except TransientEvaluationError as exc:
             self.n_guard_failures += 1
             return self._failed_obs(
@@ -301,30 +312,42 @@ class GuardedObjective:
             obs.simulated_seconds = policy.max_simulated_seconds
         return obs
 
-    def _call_with_watchdog(self, cfg: Configuration, timeout: float):
-        """Run the inner objective on a watchdog thread with a deadline.
+    def _call_inner(self, cfg: Configuration):
+        """The inner objective's result for ``cfg``, or ``_TIMED_OUT``.
 
-        A dedicated daemon thread per call: a shared single-worker pool
-        would wedge behind a previous hung evaluation.  A hung thread is
-        abandoned (cooperative cancellation is impossible for arbitrary
-        objectives); its eventual result is discarded.
+        Without a deadline the call runs on the caller's thread.  With
+        one it runs on the guard's watchdog thread, started by the first
+        such call, and the caller waits up to ``eval_timeout_seconds`` for
+        the reply; an exception raised there (``BaseException`` included)
+        is re-raised here.  On a breach the thread is abandoned to its
+        hung call -- cooperative cancellation is impossible for arbitrary
+        objectives -- and told to exit once that call returns.  Its late
+        reply lands in a queue nobody reads, and the next call starts a
+        fresh thread, so a hung evaluation never wedges later ones.
         """
-        box: dict[str, Any] = {}
-
-        def _run() -> None:
-            try:
-                box["obs"] = self._inner(cfg)
-            except BaseException as exc:  # reprolint: disable=R009 re-raised on the caller thread below
-                box["exc"] = exc
-
-        thread = threading.Thread(target=_run, daemon=True, name="repro-guard-watchdog")
-        thread.start()
-        thread.join(timeout)
-        if thread.is_alive():
+        timeout = self.policy.eval_timeout_seconds
+        if timeout is None:
+            return self._inner(cfg)
+        if self._watchdog is None:
+            requests = queue.SimpleQueue()
+            threading.Thread(
+                target=_serve, args=(requests,), daemon=True, name="repro-guard-watchdog"
+            ).start()
+            # The thread holds no reference to the guard: collecting the
+            # guard sends it the stop sentinel.
+            self._watchdog = (requests, weakref.finalize(self, requests.put, None))
+        requests, stop = self._watchdog
+        reply = queue.SimpleQueue()
+        requests.put((self._inner, cfg, reply))
+        try:
+            value, exc = reply.get(timeout=timeout)
+        except queue.Empty:
+            stop()
+            self._watchdog = None
             return _TIMED_OUT
-        if "exc" in box:
-            raise box["exc"]
-        return box["obs"]
+        if exc is not None:
+            raise exc
+        return value
 
     # ------------------------------------------------------------------
     # quarantine
@@ -335,8 +358,6 @@ class GuardedObjective:
         An index rather than the region: regions hold ndarrays, so
         ``list.index`` (which compares with ``==``) cannot look one up.
         """
-        if not self.policy.quarantine_enabled:
-            return None
         for index, region in enumerate(self.quarantine_regions):
             if region.contains(encoded):
                 return index
@@ -364,8 +385,6 @@ class GuardedObjective:
         )
 
     def _register_crash(self, encoded: np.ndarray) -> None:
-        if not self.policy.quarantine_enabled:
-            return
         self._crash_points.append(np.asarray(encoded, float))
         cluster = [
             p
@@ -394,12 +413,20 @@ class GuardedObjective:
     # circuit breaker
     # ------------------------------------------------------------------
     def _health_probe(self) -> bool:
-        """Probe the safe default configuration; close the breaker on success."""
+        """Probe the safe default configuration; close the breaker on success.
+
+        The probe runs under the evaluation deadline.  A probe past it is
+        a failed probe, charged what a timed-out evaluation is charged.
+        """
         default = self._space.default_configuration()
         try:
-            probe = self._inner(default)
+            probe = self._call_inner(default)
         except Exception:  # reprolint: disable=R009 probe failure keeps the breaker open; no observation is recorded for probes
             self.quarantine_log.append({"event": "probe_failed", "error": "exception"})
+            return False
+        if probe is _TIMED_OUT:
+            self._probe_simulated = self.policy.max_simulated_seconds or 0.0
+            self.quarantine_log.append({"event": "probe_failed", "error": "timeout"})
             return False
         self._probe_simulated = getattr(probe, "simulated_seconds", 0.0)
         if getattr(probe, "failed", True):
@@ -410,8 +437,11 @@ class GuardedObjective:
         self.quarantine_log.append({"event": "breaker_closed"})
         return True
 
-    def _after(self, obs: Observation, encoded: np.ndarray) -> None:
-        """Post-evaluation bookkeeping: breaker counter and quarantine."""
+    def _after(self, obs: Observation, cfg: Configuration, encoded: np.ndarray | None) -> None:
+        """Post-evaluation bookkeeping: breaker counter and quarantine.
+
+        ``encoded`` is ``cfg``'s encoding if the quarantine lookup made it.
+        """
         probe_cost = self._probe_simulated
         if probe_cost:
             # Fold the health probe's simulated cost into this
@@ -431,8 +461,8 @@ class GuardedObjective:
                 self.quarantine_log.append(
                     {"event": "breaker_open", "consecutive_failures": self._consecutive_failures}
                 )
-            if obs.failure_kind in CONFIG_INDUCED_KINDS:
-                self._register_crash(encoded)
+            if obs.failure_kind in CONFIG_INDUCED_KINDS and self.policy.quarantine_enabled:
+                self._register_crash(self._space.encode(cfg) if encoded is None else encoded)
         else:
             self._consecutive_failures = 0
 
@@ -467,6 +497,21 @@ class GuardedObjective:
             "breaker_trips": self.breaker_trips,
             "breaker_open": self._breaker_open,
         }
+
+
+def _serve(requests: queue.SimpleQueue) -> None:
+    """A guard's watchdog thread: run each ``(fn, arg, reply)`` request in
+    turn, putting ``(result, None)`` or ``(None, exception)`` on ``reply``,
+    until the stop sentinel ``None`` arrives.  Nothing of a request stays
+    referenced while the thread waits for the next one."""
+    while (request := requests.get()) is not None:
+        fn, arg, reply = request
+        try:
+            outcome = (fn(arg), None)
+        except BaseException as exc:  # reprolint: disable=R009 re-raised on the caller thread by GuardedObjective._call_inner
+            outcome = (None, exc)
+        reply.put(outcome)
+        del request, fn, arg, reply, outcome
 
 
 class _TimedOutSentinel:

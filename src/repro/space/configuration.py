@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Mapping
+from typing import Any, ItemsView, Iterator, KeysView, Mapping, ValuesView
 
 
 class Configuration(Mapping[str, Any]):
@@ -14,12 +14,16 @@ class Configuration(Mapping[str, Any]):
     ``-0.0``) hash alike.  Only the values are pickled; the cached hash
     depends on the interpreter's hash seed and is recomputed after
     unpickling.
+
+    Lookups, views and copies answer from the underlying dict (the
+    ``Mapping`` mixins would call :meth:`__getitem__` once per knob); the
+    views are the dict's own read-only views, in knob order.
     """
 
     __slots__ = ("_values", "_hash")
 
     def __init__(self, values: Mapping[str, Any]) -> None:
-        self._values = dict(values)
+        self._values = dict(values._values if isinstance(values, Configuration) else values)
         self._hash: int | None = None
 
     def __getitem__(self, name: str) -> Any:
@@ -30,6 +34,21 @@ class Configuration(Mapping[str, Any]):
 
     def __len__(self) -> int:
         return len(self._values)
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._values
+
+    def keys(self) -> KeysView[str]:
+        return self._values.keys()
+
+    def items(self) -> ItemsView[str, Any]:
+        return self._values.items()
+
+    def values(self) -> ValuesView[Any]:
+        return self._values.values()
+
+    def get(self, name: str, default: Any = None) -> Any:
+        return self._values.get(name, default)
 
     def __hash__(self) -> int:
         if self._hash is None:

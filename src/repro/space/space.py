@@ -381,9 +381,13 @@ class ConfigurationSpace:
     # ------------------------------------------------------------------
     # configurations
     # ------------------------------------------------------------------
+    @cached_property
+    def _defaults(self) -> dict[str, Any]:
+        return {k.name: k.default for k in self._knobs}
+
     def default_configuration(self) -> Configuration:
         """The vendor-default configuration."""
-        return Configuration({k.name: k.default for k in self._knobs})
+        return Configuration(self._defaults)
 
     def sample_configuration(self, rng: np.random.Generator | None = None) -> Configuration:
         """Draw one uniformly random configuration: one ``Knob.sample``
@@ -411,11 +415,11 @@ class ConfigurationSpace:
 
     def complete(self, partial: Mapping[str, Any]) -> Configuration:
         """Extend a partial assignment with defaults for missing knobs."""
-        values = {k.name: k.default for k in self._knobs}
-        for name, value in partial.items():
-            if name not in self._by_name:
-                raise KeyError(f"unknown knob {name!r}")
-            values[name] = value
+        values = dict(self._defaults)
+        values.update(partial.items())
+        if len(values) != len(self._knobs):
+            unknown = next(name for name in partial if name not in self._by_name)
+            raise KeyError(f"unknown knob {unknown!r}")
         return Configuration(values)
 
     # ------------------------------------------------------------------
@@ -448,7 +452,7 @@ class ConfigurationSpace:
         """
         rng = self._rng if rng is None else rng
         codec, cat = self._codec, self._codec.categorical
-        base = dict(config)
+        base = config.as_dict() if isinstance(config, Configuration) else dict(config)
         row = codec.encode([base])[0]
         current = np.fromiter((base[name] for name in codec.names), dtype=object)
         numeric = codec.numeric_cols

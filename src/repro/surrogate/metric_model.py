@@ -151,7 +151,7 @@ class MetricAwareSurrogateObjective:
         return self.default_score()
 
     def __call__(self, config: Mapping[str, Any]) -> Observation:
-        cfg = Configuration(dict(config))
+        cfg = Configuration(config)
         value = float(self.objective_predictor(self.space.encode(cfg)[None, :])[0])
         return Observation(
             config=cfg,

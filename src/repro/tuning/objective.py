@@ -48,13 +48,16 @@ class DatabaseObjective:
         return self.score_of(default / 3.0)
 
     def __call__(self, config: Mapping[str, Any]) -> Observation:
-        result = self.server.evaluate(config)
+        """Evaluate ``config``; a :class:`Configuration` (immutable) is kept
+        as the observation's config, any other mapping is copied once."""
+        cfg = config if isinstance(config, Configuration) else Configuration(config)
+        result = self.server.evaluate(cfg)
         if result.failed:
             score = float("nan")
         else:
             score = self.score_of(result.objective)
         return Observation(
-            config=Configuration(dict(config)),
+            config=cfg,
             objective=result.objective,
             score=score,
             failed=result.failed,
@@ -105,7 +108,7 @@ class SurrogateObjective:
         return self.default_score()
 
     def __call__(self, config: Mapping[str, Any]) -> Observation:
-        cfg = Configuration(dict(config))
+        cfg = Configuration(config)
         value = float(self.predictor(self.space.encode(cfg)[None, :])[0])
         self.n_evaluations += 1
         return Observation(

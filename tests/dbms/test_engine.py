@@ -222,6 +222,41 @@ class TestInternalMetrics:
         )
 
 
+class _PerMetricNoise(PerformanceModel):
+    """Reference: one scalar noise draw per metric, in key order."""
+
+    def _internal_metrics(self, config, workload, inter, rng):
+        metrics = super()._internal_metrics(config, workload, inter, None)
+        if rng is not None:
+            for key in metrics:
+                metrics[key] *= float(np.exp(rng.normal(0.0, 0.01)))
+        return metrics
+
+
+def test_metric_noise_matches_per_metric_draws(mysql_space):
+    workload = MySQLServer("SYSBENCH", "B").workload
+    instance = INSTANCES["B"]
+    model, reference = PerformanceModel(instance, seed=3), _PerMetricNoise(instance, seed=3)
+    rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+    configs = mysql_space.sample_configurations(2000, np.random.default_rng(0))
+    n_ok = 0
+    for config in configs:
+        got = model.evaluate(config, workload, rng=rng)
+        want = reference.evaluate(config, workload, rng=ref_rng)
+        assert got.failed == want.failed
+        if got.failed:
+            continue
+        n_ok += 1
+        assert np.float64(got.objective).tobytes() == np.float64(want.objective).tobytes()
+        assert list(got.metrics) == list(want.metrics)
+        assert (
+            np.array(list(got.metrics.values())).tobytes()
+            == np.array(list(want.metrics.values())).tobytes()
+        )
+    assert n_ok > 1000
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 class TestHardwareScaling:
     def test_bigger_instance_defaults_scale(self):
         d_small = MySQLServer("SYSBENCH", "A", noise=False)

@@ -22,6 +22,7 @@ from repro.space import (
     Configuration,
     ConfigurationSpace,
     ContinuousKnob,
+    IntegerKnob,
 )
 
 ALL_NAMES = ["vanilla_bo", "mixed_kernel_bo", "smac", "tpe", "turbo", "ddpg", "ga", "random"]
@@ -150,7 +151,61 @@ class TestTuRBO:
             TuRBO(cont_space, n_regions=0)
 
 
+class _ReferenceGA(GA):
+    """GA with the array-based mutation loop, as a bit-identity reference."""
+
+    def _mutate(self, genome):
+        out = genome.copy()
+        cat = self.space.categorical_mask
+        for j in range(len(out)):
+            if self.rng.random() >= self.mutation_prob:
+                continue
+            if cat[j]:
+                out[j] = self.rng.random()
+            else:
+                out[j] = float(np.clip(out[j] + self.rng.normal(0.0, self.mutation_sigma), 0.0, 1.0))
+        return out
+
+
+def _ga_trajectory(cls, space, mutation_prob, n_generations=6):
+    """Suggestion reprs, queued and pending genomes, and the final RNG state."""
+    opt = cls(space, seed=5, mutation_prob=mutation_prob)
+    history = History(space)
+    trajectory = []
+    for _ in range(opt.population_size * n_generations):
+        config = opt.suggest(history)
+        trajectory.append(
+            (
+                repr(config),
+                [g.tobytes() for g in opt._queue],
+                [g.tobytes() for g in opt._pending.values()],
+            )
+        )
+        score = float(np.sin(7.0 * space.encode(config)).sum())
+        opt.observe(Observation(config=config, objective=score, score=score))
+    assert opt.generation >= 5
+    return trajectory, opt.rng.bit_generator.state
+
+
+def _categorical_heavy_space():
+    knobs = [
+        CategoricalKnob(f"c{i}", [f"v{j}" for j in range(2 + i % 5)], "v0") for i in range(12)
+    ]
+    knobs += [ContinuousKnob("x", 0.0, 1.0, 0.5), IntegerKnob("n", 1, 4096, 64, log=True)]
+    return ConfigurationSpace(knobs, seed=0)
+
+
 class TestGA:
+    @pytest.mark.parametrize(
+        "space_name, mutation_prob",
+        [("mysql", 0.1), ("mysql", 0.5), ("categorical", 0.1), ("categorical", 0.5)],
+    )
+    def test_mutation_matches_the_array_reference(self, mysql_space, space_name, mutation_prob):
+        space = mysql_space if space_name == "mysql" else _categorical_heavy_space()
+        assert _ga_trajectory(GA, space, mutation_prob) == _ga_trajectory(
+            _ReferenceGA, space, mutation_prob
+        )
+
     def test_population_cycles_generations(self, cont_space):
         opt = GA(cont_space, seed=0, population_size=6)
         drive(opt, cont_space, lambda c: c["x0"], 30)

@@ -91,6 +91,17 @@ class TestConfigurations:
         with pytest.raises(KeyError):
             tiny_space.complete({"unknown": 1})
 
+    def test_complete_keeps_knob_order_and_names_the_first_unknown(self, tiny_space):
+        completed = tiny_space.complete(Configuration({"mode": "b", "x": 0.9}))
+        assert list(completed) == tiny_space.names
+        assert completed == dict(tiny_space.default_configuration(), mode="b", x=0.9)
+        with pytest.raises(KeyError) as err:
+            tiny_space.complete({"x": 0.1, "q": 1, "r": 2})
+        assert str(err.value) == '"unknown knob \'q\'"'
+        with pytest.raises(KeyError) as err:
+            tiny_space.complete(Configuration({"r": 2, "x": 0.1, "q": 1}))
+        assert str(err.value) == '"unknown knob \'r\'"'
+
     def test_validate_rejects_missing_and_invalid(self, tiny_space):
         assert not tiny_space.validate({"x": 0.5})
         bad = tiny_space.default_configuration().as_dict()
@@ -180,6 +191,25 @@ class TestConfigurationObject:
         a = Configuration({"x": 1})
         b = a.with_values(x=2)
         assert a["x"] == 1 and b["x"] == 2
+
+    def test_views_answer_from_the_dict_in_order(self):
+        c = Configuration({"b": 2, "a": "on", "c": 0.5})
+        assert list(c.keys()) == ["b", "a", "c"]
+        assert list(c.items()) == [("b", 2), ("a", "on"), ("c", 0.5)]
+        assert list(c.values()) == [2, "on", 0.5]
+        assert c.get("a") == "on" and c.get("z") is None and c.get("z", 7) == 7
+        assert "a" in c and "z" not in c
+        # The views are read-only: their mapping is a proxy.
+        with pytest.raises(TypeError):
+            c.keys().mapping["a"] = "off"
+        assert c["a"] == "on"
+
+    def test_copy_of_a_configuration_is_independent(self):
+        c = Configuration({"x": 1, "mode": "a"})
+        copy = Configuration(c)
+        assert copy == c and hash(copy) == hash(c)
+        assert copy is not c and copy._values is not c._values
+        assert list(copy.items()) == list(c.items())
 
     def test_as_dict_is_mutable_copy(self):
         a = Configuration({"x": 1})

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dbms.server import MySQLServer
+from repro.space import Configuration
 from repro.surrogate import MetricAwareSurrogateObjective, SurrogateBenchmark
 from repro.tuning import DatabaseObjective
 
@@ -42,6 +43,14 @@ class TestObjectiveContracts:
             "SYSBENCH", sysbench_space, n_samples=80, seed=0
         )
         _check_objective_contract(objective, sysbench_space)
+
+    def test_database_objective_keeps_the_configuration(self, sysbench_space):
+        objective = DatabaseObjective(MySQLServer("SYSBENCH", "B", seed=0), sysbench_space)
+        config = sysbench_space.default_configuration()
+        assert objective(config).config is config
+        plain = config.as_dict()
+        obs = objective(plain)
+        assert isinstance(obs.config, Configuration) and obs.config == plain
 
     def test_score_sign_convention(self, mysql_space):
         """For every direction, better objective => higher score."""
