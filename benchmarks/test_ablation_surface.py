@@ -45,9 +45,11 @@ def test_ablation_failure_regions_drive_memory_knob_variance(benchmark, monkeypa
 
     def experiment():
         with_failures = _gini_split_share(knobs)
-        # Disable the OOM/swap region: memory overcommit can no longer crash.
+        # Disable the OOM/swap region and the unable-to-start band:
+        # memory overcommit can no longer crash or refuse to start.
         monkeypatch.setattr(engine, "OOM_FRACTION", 1e9)
         monkeypatch.setattr(engine, "SWAP_FRACTION", 1e9)
+        monkeypatch.setattr(engine, "UNSTARTABLE_FRACTION", 1e9)
         without_failures = _gini_split_share(knobs)
         return with_failures, without_failures
 

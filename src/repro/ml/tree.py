@@ -10,7 +10,11 @@ arrays) because downstream algorithms need more than predictions:
 
 ``fit`` sorts each feature once per tree and propagates the order down
 via stable partitions, scanning all candidate features of a node in one
-cumulative-sum matrix pass.  :meth:`DecisionTreeRegressor._fit_scalar`,
+pass: in C when :mod:`repro.perf.treefast`'s native kernels are loaded,
+else as one cumulative-sum matrix in numpy.  The depth-first loop, the
+feature draws, the node means and the centring test stay in Python for
+both, because the generator stream and numpy's pairwise sums define
+their bits.  :meth:`DecisionTreeRegressor._fit_scalar`,
 which argsorts every candidate feature at every node, is kept as the
 reference that ``tests/ml/test_tree_bit_identity.py`` proves the fit
 byte-identical to; no option selects it.  Both center the node labels
@@ -22,12 +26,13 @@ historical arithmetic bit-for-bit).
 
 from __future__ import annotations
 
+import ctypes
 import math
 from typing import Any
 
 import numpy as np
 
-from repro.perf.treefast import full_sort_orders
+from repro.perf.treefast import TreeFit, full_sort_orders, native_kernel
 
 _NO_CHILD = -1
 #: Minimum SSE reduction for a split to be accepted.
@@ -48,8 +53,13 @@ def _needs_centering(y: np.ndarray) -> bool:
     difference still carries >= 8 digits, and keeping the uncentered
     arithmetic preserves the reference trajectories bit-for-bit.
     """
-    spread = float(y.max()) - float(y.min())
-    return abs(float(y.mean())) > _CENTERING_RATIO * spread
+    return _dwarfs(float(y.mean()), float(y.max()) - float(y.min()))
+
+
+def _dwarfs(mean: float, spread: float) -> bool:
+    """The centring test of :func:`_needs_centering` on the labels'
+    mean and ``max - min``."""
+    return abs(mean) > _CENTERING_RATIO * spread
 
 
 class DecisionTreeRegressor:
@@ -274,10 +284,11 @@ class DecisionTreeRegressor:
         RNG stream, same tie-breaking) but never argsorts inside a node:
         the root's per-feature sort orders are partitioned stably into
         the children, which preserves sortedness, and all candidate
-        features of a node are scanned in one cumulative-sum matrix.
-        The node's samples are always in ascending original-row order,
-        so stable partition exactly reproduces the scalar path's
-        stable per-node argsort.
+        features of a node are scanned in one pass.  The node's samples
+        are always in ascending original-row order, so stable partition
+        exactly reproduces the scalar path's stable per-node argsort.
+        The scan and the partition run in the native kernels when they
+        are loaded (:class:`_NativeSplitter`), otherwise in numpy.
         """
         n, d = X.shape
         rng = np.random.default_rng(self.seed)
@@ -290,104 +301,71 @@ class DecisionTreeRegressor:
         value: list[float] = []
         n_node: list[int] = []
         decrease: list[float] = []
-        node_of = np.zeros(n, dtype=int)
 
         k_features = self._n_candidate_features(d)
-        all_features = np.arange(d)
+        all_features = np.arange(d, dtype=np.int64)
         if sort_order is None:
-            sort_order = full_sort_orders(X)
-        # Scratch flag buffer for the stable partitions (reset after use).
-        flags = np.zeros(n, dtype=bool)
+            orders = np.ascontiguousarray(full_sort_orders(X), dtype=np.int64)
+        else:
+            orders = _checked_sort_order(sort_order, n, d)
+        lib = native_kernel()
+        if lib is None:
+            splitter = _Splitter(X, y, orders, min_leaf)
+        else:
+            splitter = _NativeSplitter(lib, X, y, orders, min_leaf)
+        rows = splitter.idx
 
-        def new_node(idx: np.ndarray) -> int:
+        def new_node(start: int, size: int) -> int:
             node = len(feature)
             feature.append(_NO_CHILD)
             threshold.append(math.nan)
             left.append(_NO_CHILD)
             right.append(_NO_CHILD)
-            value.append(float(y[idx].mean()))
-            n_node.append(len(idx))
+            # ndarray.mean's own arithmetic: numpy's pairwise sum over
+            # the count, without its Python-level wrapper.
+            value.append(float(np.add.reduce(y[rows[start : start + size]])) / size)
+            n_node.append(size)
             decrease.append(0.0)
             return node
 
-        root = new_node(np.arange(n))
-        stack: list[tuple[int, np.ndarray, np.ndarray, int]] = [
-            (root, np.arange(n), sort_order, 0)
-        ]
+        root = new_node(0, n)
+        # A node is (id, start, size, depth): it owns the segment
+        # [start, start + size) of the splitter's row buffers.
+        stack: list[tuple[int, int, int, int]] = [(root, 0, n, 0)]
         while stack:
-            node, idx, orders, depth = stack.pop()
-            m = len(idx)
+            node, start, m, depth = stack.pop()
             if m < self.min_samples_split:
                 continue
             if self.max_depth is not None and depth >= self.max_depth:
                 continue
-            y_node = y[idx]
-            if np.all(y_node == y_node[0]):
+            spread = splitter.spread(start, m)
+            if spread is None:
                 continue
             if k_features < d:
                 candidates = rng.choice(d, size=k_features, replace=False)
             else:
                 candidates = all_features
-            positions = np.arange(min_leaf, m - min_leaf + 1)
-            if len(positions) == 0:
+            if m < 2 * min_leaf:
                 continue
-            # One (k, m) pass over all candidate features: rows are the
-            # node's samples in that feature's sorted order.
-            rows = orders[candidates]
-            xs = X[rows, candidates[:, None]]
-            ys = y[rows]
-            if _needs_centering(y_node):
-                ys = ys - y_node.mean()
-            csum = np.cumsum(ys, axis=1)
-            total = csum[:, -1]
-            valid = xs[:, positions - 1] < xs[:, positions]
-            left_sum = csum[:, positions - 1]
-            right_sum = total[:, None] - left_sum
-            n_left = positions.astype(float)
-            n_right = m - n_left
-            score = left_sum**2 / n_left + right_sum**2 / n_right
-            per_row = np.arange(len(candidates))
-            best_pos = np.argmax(np.where(valid, score, -np.inf), axis=1)
-            has_split = valid[per_row, best_pos]
-            # ``_fit_scalar`` squares ``total`` as a numpy *scalar*,
-            # which routes through libm pow and can land one ULP away
-            # from the exact product that the array square (x*x)
-            # produces.  Near-tie feature choices hinge on those low
-            # bits, so reproduce the scalar power op element by element.
-            base = np.array([t**2 for t in total.tolist()]) / m
-            gains = np.where(has_split, score[per_row, best_pos] - base, -np.inf)
-            j = int(np.argmax(gains))
-            best_gain = float(gains[j])
+            mean = value[node]  # the node labels' ndarray.mean, as _needs_centering takes it
+            offset = mean if _dwarfs(mean, spread) else None
+            best_gain, best_feat, best_thr = splitter.scan(start, m, candidates, offset)
             if best_gain <= _MIN_GAIN:
                 continue
-            pos = positions[best_pos[j]]
-            best_feat = int(candidates[j])
-            best_thr = float(0.5 * (xs[j, pos - 1] + xs[j, pos]))
-            mask = X[idx, best_feat] <= best_thr
-            left_idx, right_idx = idx[mask], idx[~mask]
-            if len(left_idx) < min_leaf or len(right_idx) < min_leaf:
+            n_left = splitter.partition(start, m, best_feat, best_thr, len(feature))
+            if n_left is None:
                 continue
-            # Stable partition of every feature's sorted order into the
-            # children: each row keeps exactly len(left_idx) members, so
-            # the boolean gather reshapes back to (d, child size).
-            flags[left_idx] = True
-            member = flags[orders]
-            left_orders = orders[member].reshape(d, len(left_idx))
-            right_orders = orders[~member].reshape(d, len(right_idx))
-            flags[left_idx] = False
             feature[node] = best_feat
             threshold[node] = best_thr
             decrease[node] = best_gain
-            l_node = new_node(left_idx)
-            r_node = new_node(right_idx)
+            l_node = new_node(start, n_left)
+            r_node = new_node(start + n_left, m - n_left)
             left[node] = l_node
             right[node] = r_node
-            node_of[left_idx] = l_node
-            node_of[right_idx] = r_node
-            stack.append((l_node, left_idx, left_orders, depth + 1))
-            stack.append((r_node, right_idx, right_orders, depth + 1))
+            stack.append((l_node, start, n_left, depth + 1))
+            stack.append((r_node, start + n_left, m - n_left, depth + 1))
 
-        self._store(feature, threshold, left, right, value, n_node, decrease, node_of)
+        self._store(feature, threshold, left, right, value, n_node, decrease, splitter.node_of)
         return self
 
     def _store(
@@ -512,3 +490,170 @@ class DecisionTreeRegressor:
             "max_features": self.max_features,
             "seed": self.seed,
         }
+
+
+def _checked_sort_order(sort_order: np.ndarray, n: int, d: int) -> np.ndarray:
+    """A private int64 copy of a caller's ``(d, n)`` sort orders.
+
+    Raises ``IndexError``, as indexing with it would, when it is not an
+    integer matrix of that shape or holds a row index outside
+    ``[0, n)``; the fit partitions its copy in place.
+    """
+    order = np.asarray(sort_order)
+    if order.dtype.kind not in "iu":
+        raise IndexError("sort_order must hold integer row indices")
+    if order.shape != (d, n):
+        raise IndexError(f"sort_order has shape {order.shape}, expected {(d, n)}")
+    if order.size and (order.min() < 0 or order.max() >= n):
+        raise IndexError(f"sort_order holds a row index outside [0, {n})")
+    return np.array(order, dtype=np.int64, order="C")
+
+
+class _Splitter:
+    """One fit's split search and partition, in numpy.
+
+    A node owns a segment ``[start, start + m)`` of ``idx`` (its rows,
+    ascending) and of every row of ``orders`` (its rows in that
+    feature's sorted order).  A split partitions the segment stably in
+    place, so the children own its two halves and stay sorted.
+    """
+
+    def __init__(self, X: np.ndarray, y: np.ndarray, orders: np.ndarray, min_leaf: int) -> None:
+        self.X, self.y, self.orders, self.min_leaf = X, y, orders, min_leaf
+        self.idx = np.arange(len(y), dtype=np.int64)
+        self.node_of = np.zeros(len(y), dtype=int)
+        self._flags = np.zeros(len(y), dtype=bool)
+
+    def spread(self, start: int, m: int) -> float | None:
+        """``max - min`` of the node's labels, or ``None`` when all are equal."""
+        y_node = self.y[self.idx[start : start + m]]
+        if np.all(y_node == y_node[0]):
+            return None
+        return float(y_node.max()) - float(y_node.min())
+
+    def scan(
+        self, start: int, m: int, candidates: np.ndarray, offset: float | None
+    ) -> tuple[float, int, float]:
+        """``(gain, feature, threshold)`` of the node's best split over
+        ``candidates``, on labels less ``offset`` unless it is ``None``.
+        A gain of ``-inf`` means no candidate has a valid split."""
+        X, min_leaf = self.X, self.min_leaf
+        positions = np.arange(min_leaf, m - min_leaf + 1)
+        # One (k, m) pass over all candidate features: rows are the
+        # node's samples in that feature's sorted order.
+        rows = self.orders[candidates, start : start + m]
+        xs = X[rows, candidates[:, None]]
+        ys = self.y[rows]
+        if offset is not None:
+            ys = ys - offset
+        csum = np.cumsum(ys, axis=1)
+        total = csum[:, -1]
+        valid = xs[:, positions - 1] < xs[:, positions]
+        left_sum = csum[:, positions - 1]
+        right_sum = total[:, None] - left_sum
+        n_left = positions.astype(float)
+        n_right = m - n_left
+        score = left_sum**2 / n_left + right_sum**2 / n_right
+        per_row = np.arange(len(candidates))
+        best_pos = np.argmax(np.where(valid, score, -np.inf), axis=1)
+        has_split = valid[per_row, best_pos]
+        # ``_fit_scalar`` squares ``total`` as a numpy *scalar*,
+        # which routes through libm pow and can land one ULP away
+        # from the exact product that the array square (x*x)
+        # produces.  Near-tie feature choices hinge on those low
+        # bits, so reproduce the scalar power op element by element.
+        base = np.array([t**2 for t in total.tolist()]) / m
+        gains = np.where(has_split, score[per_row, best_pos] - base, -np.inf)
+        j = int(np.argmax(gains))
+        pos = positions[best_pos[j]]
+        return float(gains[j]), int(candidates[j]), float(0.5 * (xs[j, pos - 1] + xs[j, pos]))
+
+    def partition(
+        self, start: int, m: int, feature: int, threshold: float, l_node: int
+    ) -> int | None:
+        """Split the node at ``X[:, feature] <= threshold``: partition its
+        segment and point ``node_of`` at ``l_node`` and ``l_node + 1``.
+        Returns the left child's size, or ``None`` (changing nothing)
+        when a child would hold fewer than ``min_leaf`` rows."""
+        idx = self.idx[start : start + m]
+        mask = self.X[idx, feature] <= threshold
+        left_idx, right_idx = idx[mask], idx[~mask]
+        n_left = len(left_idx)
+        if n_left < self.min_leaf or m - n_left < self.min_leaf:
+            return None
+        # Each row keeps exactly n_left members, so the boolean gathers
+        # reshape back to (d, child size).
+        seg = self.orders[:, start : start + m]
+        self._flags[left_idx] = True
+        member = self._flags[seg]
+        self._flags[left_idx] = False
+        d = len(seg)
+        seg[:, :n_left], seg[:, n_left:] = (
+            seg[member].reshape(d, n_left),
+            seg[~member].reshape(d, m - n_left),
+        )
+        idx[:n_left], idx[n_left:] = left_idx, right_idx
+        self.node_of[left_idx] = l_node
+        self.node_of[right_idx] = l_node + 1
+        return n_left
+
+
+class _NativeSplitter(_Splitter):
+    """:class:`_Splitter` through the C kernels of
+    :mod:`repro.perf.treefast`, which compute the same IEEE operations
+    in the same order (see ``repro_tree_scan``).  A node whose label
+    total the kernel cannot square as Python does is scanned in numpy."""
+
+    def __init__(
+        self, lib: ctypes.CDLL, X: np.ndarray, y: np.ndarray, orders: np.ndarray, min_leaf: int
+    ) -> None:
+        super().__init__(X, y, orders, min_leaf)
+        n, d = X.shape
+        self.node_of = np.zeros(n, dtype=np.int64)
+        # Kept alive here: the kernels see only their addresses.
+        self._buffers = {
+            "xt": np.asfortranarray(X),  # column f at f * n: a feature's values are contiguous
+            "y": np.ascontiguousarray(y),
+            "idx": self.idx,
+            "orders": orders,
+            "node_of": self.node_of,
+            "csum": np.empty(n),
+            "tmp": np.empty(n, dtype=np.int64),
+            "side": np.zeros(n, dtype=np.uint8),
+        }
+        self._fit = TreeFit(
+            n=n, d=d, min_leaf=min_leaf, **{k: a.ctypes.data for k, a in self._buffers.items()}
+        )
+        self._addr = ctypes.addressof(self._fit)
+        self._spread = lib.repro_tree_spread
+        self._scan = lib.repro_tree_scan
+        self._partition = lib.repro_tree_partition
+
+    def spread(self, start: int, m: int) -> float | None:
+        if self._spread(self._addr, start, m):
+            return None
+        return self._fit.spread
+
+    def scan(
+        self, start: int, m: int, candidates: np.ndarray, offset: float | None
+    ) -> tuple[float, int, float]:
+        feat = self._scan(
+            self._addr,
+            start,
+            m,
+            candidates.tobytes(),
+            len(candidates),
+            offset is not None,
+            0.0 if offset is None else offset,
+        )
+        if feat < 0:
+            return super().scan(start, m, candidates, offset)
+        return self._fit.gain, feat, self._fit.threshold
+
+    def partition(
+        self, start: int, m: int, feature: int, threshold: float, l_node: int
+    ) -> int | None:
+        n_left = self._partition(self._addr, start, m, feature, threshold, l_node)
+        if n_left == -2:
+            raise ValueError("sort_order rows are not orderings of the same rows")
+        return None if n_left < 0 else n_left

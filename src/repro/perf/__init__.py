@@ -14,8 +14,9 @@ output bit:
   (:func:`feature_sort_ranks` / :func:`subset_sort_orders`) reused
   across every bootstrap resample and boosting round, and
   :class:`PackedTrees`, the batched whole-ensemble descent behind
-  forest/GBM prediction (native kernel when a C toolchain exists,
-  vectorized numpy otherwise).
+  forest/GBM prediction, and the native kernels (compiled on first use
+  when a C toolchain exists, numpy or ``math`` otherwise) that run the
+  descent, CART's split scan and partition, and the codec's libm map.
 
 Their cost is measured inside whole tuning sessions by the session
 benchmark in ``perfbench/`` (see ``docs/PERFORMANCE.md``).

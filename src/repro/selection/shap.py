@@ -77,16 +77,18 @@ class ShapImportance(ImportanceMeasurement):
         if not differing:
             return {}
         phi = {name: 0.0 for name in differing}
+        # The codec encodes cell by cell, so a configuration mixing the
+        # two takes each column's unit value from its source's row.
+        unit_default, unit_target = self.space.encode_many([default, target])
+        index = {name: i for i, name in enumerate(self.space.names)}
+        steps = np.tri(len(differing) + 1, len(differing), k=-1, dtype=bool)
+        switched = np.zeros((len(differing) + 1, self.space.n_dims), dtype=bool)
         for __ in range(self.n_permutations):
             order = list(self.rng.permutation(differing))
-            # Walk the permutation, switching knobs to target one by one;
-            # batch-predict the whole chain for efficiency.
-            chain: list[Configuration] = [default]
-            current = default
-            for name in order:
-                current = current.with_values(**{name: target[name]})
-                chain.append(current)
-            preds = forest.predict(self.space.encode_many(chain))
+            # Walk the permutation, switching knobs to target one by one:
+            # chain row i has the first i knobs of ``order`` switched.
+            switched[:, [index[name] for name in order]] = steps
+            preds = forest.predict(np.where(switched, unit_target, unit_default))
             for i, name in enumerate(order):
                 phi[name] += float(preds[i + 1] - preds[i])
         return {name: value / self.n_permutations for name, value in phi.items()}

@@ -17,8 +17,11 @@ operations per group.  The groups reproduce the scalar
 ``Knob.to_unit``/``from_unit`` bit for bit: numpy's elementwise
 add/multiply/divide, ``np.rint`` and a clamp with Python's ``min``/``max``
 tie rules round exactly as the scalar code does, and the log groups map
-``math.exp``/``math.log`` over the block because numpy's vectorized
-``exp``/``log`` differ from libm in the last bit on some inputs.
+libm's ``exp``/``log`` -- what ``math.exp``/``math.log`` call -- over
+the block because numpy's vectorized ``exp``/``log`` differ from libm in
+the last bit on some inputs.  That map runs as a C loop in
+:mod:`repro.perf.treefast`'s native kernel when one is loaded, and as
+``math`` calls otherwise.
 Decoded values are Python-native (``int``, ``float``, the choice object),
 so configurations hash and compare as the scalar path's do.
 """
@@ -34,6 +37,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from repro.perf.treefast import native_kernel
 from repro.space.configuration import Configuration
 from repro.space.parameter import CategoricalKnob, ContinuousKnob, IntegerKnob, Knob
 
@@ -59,8 +63,22 @@ def _rows_of(names: list[str], mappings: list[Mapping[str, Any]]) -> list[tuple]
     return list(map(get, mappings))
 
 
+#: The native map's operation code of each ``math`` function.
+_LIBM_OPS = {math.exp: 0, math.log: 1}
+
+
 def _libm(fn: Callable[[float], float], block: np.ndarray) -> np.ndarray:
-    """``math.exp`` or ``math.log`` over every element of ``block``."""
+    """``math.exp`` or ``math.log`` over every element of ``block``.
+
+    The native kernel calls the same libm function in a C loop; without
+    it, or where ``fn`` would raise, ``fn`` maps the block itself.
+    """
+    lib = native_kernel()
+    if lib is not None:
+        src = np.ascontiguousarray(block, dtype=float)
+        out = np.empty_like(src)
+        if lib.repro_libm_map(_LIBM_OPS[fn], src.ctypes.data, out.ctypes.data, src.size) < 0:
+            return out
     flat = np.fromiter(map(fn, block.ravel().tolist()), dtype=float, count=block.size)
     return flat.reshape(block.shape)
 
