@@ -2,10 +2,10 @@
 
 The engine's contract is that ``n_workers`` is a pure throughput knob:
 for a fixed seed every run's history is bit-identical whether the batch
-executes serially or fans out over a process pool.  This bench runs the
-same batch both ways, asserts equivalence, and prints the measured
+executes serially or fans out over child processes.  This bench runs
+the same batch both ways, asserts equivalence, and prints the measured
 wall-clock (a genuine speedup needs >1 CPU; on a single-core host the
-pool only adds overhead, so the speedup assertion is gated on
+processes only add overhead, so the speedup assertion is gated on
 ``os.cpu_count()``).
 """
 
@@ -71,6 +71,6 @@ def test_parallel_runner_equivalence_and_speedup(benchmark):
         )
     )
     if (os.cpu_count() or 1) >= 4:
-        # With real cores behind the pool, 4 independent runs should beat
+        # With real cores behind the processes, 4 independent runs should beat
         # serial execution comfortably.
         assert speedup > 1.3

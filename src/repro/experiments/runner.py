@@ -5,7 +5,7 @@ materializes one :class:`~repro.parallel.RunSpec` per run (with seeds
 derived up front via ``SeedSequence.spawn``) and hands the batch to a
 :class:`~repro.parallel.ParallelExecutor`.  ``n_workers=1`` preserves the
 historical serial behavior; any larger value fans the independent runs
-out over a process pool and returns bit-identical histories.
+out over child processes and returns bit-identical histories.
 """
 
 from __future__ import annotations
@@ -135,20 +135,6 @@ def run_sessions(
 def count_failed_runs(histories: list[History]) -> int:
     """Runs that never produced a successful observation."""
     return sum(1 for h in histories if not h.successful())
-
-
-def study_failure_summary(histories: list[History]) -> dict[str, int]:
-    """Aggregate per-kind failure counts across a study's sessions.
-
-    Sums each history's :meth:`~repro.optimizers.base.History.failure_summary`
-    — the per-session accounting (``MySQLServer.n_failures`` ratchets for
-    the server's whole lifetime and cannot be attributed to a session).
-    """
-    totals: dict[str, int] = {}
-    for h in histories:
-        for kind, count in h.failure_summary().items():
-            totals[kind] = totals.get(kind, 0) + count
-    return dict(sorted(totals.items()))
 
 
 def median_improvement(

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import ctypes
 import math
-from typing import Any
 
 import numpy as np
 
@@ -480,16 +479,6 @@ class DecisionTreeRegressor:
             if right_box[f, 0] < right_box[f, 1]:
                 stack.append((self.right[node], right_box))
         return result
-
-    def get_params(self) -> dict[str, Any]:
-        """Constructor parameters (for cloning in ensembles)."""
-        return {
-            "max_depth": self.max_depth,
-            "min_samples_split": self.min_samples_split,
-            "min_samples_leaf": self.min_samples_leaf,
-            "max_features": self.max_features,
-            "seed": self.seed,
-        }
 
 
 def _checked_sort_order(sort_order: np.ndarray, n: int, d: int) -> np.ndarray:

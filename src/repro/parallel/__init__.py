@@ -2,8 +2,8 @@
 
 Every evaluation artifact in the reproduction boils down to a batch of
 fully independent ``(server, optimizer, session)`` runs.  This package
-fans those runs out over a process pool while keeping them bit-identical
-to serial execution — and keeps the work durable when workers die:
+fans those runs out over child processes while keeping them bit-identical
+to serial execution — and keeps the work durable when a process dies:
 
 - :mod:`repro.parallel.spec` describes one run (:class:`RunSpec`) and its
   outcome (:class:`RunResult`), and derives per-run seeds from a single
@@ -11,12 +11,10 @@ to serial execution — and keeps the work durable when workers die:
   noise stream, the optimizer's sampling stream, and the session's LHS
   stream are statistically independent *and* independent of the execution
   order.
-- :mod:`repro.parallel.executor` schedules specs onto a
-  ``ProcessPoolExecutor``, harvesting futures as they complete.  A broken
-  pool costs only the run on the dead worker (charged a retryable failed
-  attempt); results that completed before the break are preserved via the
-  worker-side attempt journal, and unstarted runs are resubmitted on a
-  fresh pool free of charge.
+- :mod:`repro.parallel.executor` runs each attempt of a spec in a
+  process of its own, at most ``n_workers`` at a time, taking results as
+  they arrive over one-way pipes.  A process that dies costs only its
+  own run a retryable failed attempt; no other run shares it.
 - :mod:`repro.parallel.telemetry` streams one JSON line per finished run
   *attempt* the moment it completes (plus per-run ``"final"`` records at
   study end) — tailable, append-only, and readable past a torn final
@@ -24,7 +22,7 @@ to serial execution — and keeps the work durable when workers die:
 - :mod:`repro.parallel.checkpoint` persists completed results to an
   append-only :class:`StudyCheckpoint` keyed by a content hash of the
   spec, so a killed study resumes without re-running finished work.
-- :mod:`repro.parallel.faults` injects deterministic worker deaths,
+- :mod:`repro.parallel.faults` injects deterministic process deaths,
   objective failures, and torn writes — the harness proving all of the
   above.
 """

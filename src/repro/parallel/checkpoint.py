@@ -28,13 +28,13 @@ import dataclasses
 import hashlib
 import json
 import os
-import warnings
 from typing import Any
 
 import numpy as np
 
 from repro.optimizers.base import History, Observation
 from repro.parallel.spec import RunResult, RunSpec
+from repro.parallel.telemetry import read_jsonl
 from repro.resilience.taxonomy import FailureKind
 from repro.space import Configuration, ConfigurationSpace
 
@@ -290,24 +290,8 @@ class StudyCheckpoint:
         """Key -> result record for every intact line (last write wins)."""
         if not self.exists():
             return {}
-        cache: dict[str, dict[str, Any]] = {}
-        with open(self.path, encoding="utf-8") as fh:
-            lines = [ln for ln in (raw.strip() for raw in fh) if ln]
-        for i, line in enumerate(lines):
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                if i == len(lines) - 1:
-                    warnings.warn(
-                        f"skipping torn final checkpoint line in {self.path} "
-                        "(study was likely killed mid-write)",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    break
-                raise
-            cache[entry["key"]] = entry["result"]
-        return cache
+        entries = read_jsonl(self.path, "checkpoint")
+        return {entry["key"]: entry["result"] for entry in entries}
 
     def record(self, key: str, result: RunResult) -> None:
         """Durably append one completed result (no-op for failed runs)."""

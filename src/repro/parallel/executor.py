@@ -1,31 +1,28 @@
-"""The process-pool executor behind every experiment harness.
+"""The executor behind every experiment harness.
 
 Scheduling rules:
 
-- ``n_workers <= 1`` runs everything in-process — no pickling, no pool,
-  identical results (and no isolation: serial mode cannot survive a hard
-  death, by construction).  With ``n_workers > 1`` every picklable spec
-  runs in a worker process, even when only one spec remains, because the
-  pool is the isolation boundary that keeps a dying run from taking the
-  study down.
+- ``n_workers <= 1`` runs everything in-process — no pickling, no child
+  processes, identical results (and no isolation: serial mode cannot
+  survive a hard death, by construction).  With ``n_workers > 1`` each
+  attempt of a picklable spec runs in a process of its own, at most
+  ``n_workers`` at a time, even when only one spec remains: the process
+  is the isolation boundary that keeps a dying run from taking the study
+  down.
 - Specs that cannot be pickled (e.g. a closure-based optimizer factory)
-  are detected up front and run in-process while the rest of the batch
-  uses the pool; callers never have to care.
-- Futures are harvested *as they complete*; every finished attempt is
-  streamed to the telemetry file immediately and every completed run is
-  appended to the checkpoint immediately, so an interrupted study keeps
-  all finished work.
-- A worker exception is caught *inside* the worker and returned as a
-  failed :class:`RunResult`.  A hard worker death (``os._exit``, OOM
-  kill) breaks the pool; the scheduler then consults the attempt journal
-  each worker writes (a start marker before the run, the full serialized
-  result after it) to (a) recover results that completed but whose
-  future was lost with the pool, (b) charge a failed attempt only to the
-  run(s) attributable to the dead worker via process exit codes, and
-  (c) resubmit every other unfinished spec on a freshly spawned pool
-  without charging it an attempt.  Failed attempts are retried up to
-  ``max_retries`` times after a short deterministic jittered backoff,
-  always from the spec's original seeds.
+  are detected up front and run in-process after the round's child
+  processes; callers never have to care.
+- Results are taken *as they arrive*; every finished attempt is streamed
+  to the telemetry file immediately and every completed run is appended
+  to the checkpoint immediately, so an interrupted study keeps all
+  finished work.
+- A run's exception is caught inside its process and returned as a
+  failed :class:`RunResult`.  A hard death (``os._exit``, OOM kill,
+  SIGSEGV) closes the process's result pipe without a result: that run,
+  and only that run, is charged a failed attempt whose error starts with
+  ``worker died:`` and names the exit code.  Failed attempts are retried
+  up to ``max_retries`` times after a short deterministic jittered
+  backoff, always from the spec's original seeds.
 - ``run(specs, resume_from=...)`` skips any spec whose completed result
   is already in the checkpoint (matched by content hash, see
   :func:`repro.parallel.checkpoint.spec_key`), returning the stored
@@ -34,34 +31,22 @@ Scheduling rules:
 
 from __future__ import annotations
 
-import json
+import multiprocessing
 import os
 import pickle
-import shutil
-import signal
-import tempfile
 import time
 import traceback
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
+from multiprocessing.connection import Connection, wait
 
 import numpy as np
 
-from repro.parallel.checkpoint import (
-    StudyCheckpoint,
-    record_to_result,
-    result_to_record,
-    spec_key,
-)
+from repro.parallel.checkpoint import StudyCheckpoint, record_to_result, spec_key
 from repro.parallel.spec import RunResult, RunSpec
 from repro.parallel.telemetry import (
     append_telemetry_record,
     telemetry_record,
     write_telemetry,
 )
-
-#: Pool-respawn rounds tolerated with zero progress (no result harvested,
-#: no death attributed) before the remaining specs are marked failed.
-_MAX_STALLED_ROUNDS = 3
 
 
 class _TimedObjective:
@@ -158,27 +143,30 @@ def execute_run(spec: RunSpec) -> RunResult:
         )
 
 
-def _journaled_run(spec: RunSpec, journal_dir: str, token: str) -> RunResult:
-    """Worker-side wrapper: journal the attempt around :func:`execute_run`.
+def _worker_death_result(spec: RunSpec, detail: str) -> RunResult:
+    return RunResult(
+        run_index=spec.run_index,
+        failed=True,
+        error=f"worker died: {detail}",
+        tags=dict(spec.tags),
+    )
 
-    The start marker (``<token>.start``, containing the worker pid) lets
-    the scheduler attribute a pool break to the run that was on the dead
-    worker.  The result file (``<token>.done``, written atomically via
-    ``os.replace``) lets it recover a completed result whose future was
-    lost when the pool broke — the race the old batch harvester turned
-    into a full re-run.
+
+def _lost_in_transit(exc: Exception) -> str:
+    return f"result lost in transit: {type(exc).__name__}: {exc}"
+
+
+def _attempt(spec: RunSpec, writer: Connection) -> None:
+    """Body of one attempt's process: run ``spec``, send its result back.
+
+    ``execute_run`` is looked up at call time, so a wrapper installed on
+    this module before the fork runs in the child as well.
     """
-    start_path = os.path.join(journal_dir, f"{token}.start")
-    with open(start_path, "w", encoding="utf-8") as fh:
-        fh.write(str(os.getpid()))
-        fh.flush()
     result = execute_run(spec)
-    tmp_path = os.path.join(journal_dir, f"{token}.done.tmp")
-    with open(tmp_path, "w", encoding="utf-8") as fh:
-        json.dump(result_to_record(result), fh)
-        fh.flush()
-    os.replace(tmp_path, os.path.join(journal_dir, f"{token}.done"))
-    return result
+    try:
+        writer.send(result)
+    except Exception as exc:  # noqa: BLE001 — e.g. a history holding an unpicklable value
+        writer.send(_worker_death_result(spec, _lost_in_transit(exc)))
 
 
 def _picklable(spec: RunSpec) -> bool:
@@ -187,14 +175,6 @@ def _picklable(spec: RunSpec) -> bool:
         return True
     except Exception:  # reprolint: disable=R009 probe only: unpicklable specs run inline, nothing is lost
         return False
-
-
-#: Worker exit codes that do *not* indicate the worker died of its own
-#: accord: a clean exit, still-running (no code yet), or the SIGTERM the
-#: pool manager sends to surviving workers while tearing a broken pool
-#: down.  Anything else (``os._exit(n)``, SIGKILL/OOM, SIGSEGV) marks the
-#: worker as the death that broke the pool.
-_COLLATERAL_EXIT_CODES = (0, None, -int(signal.SIGTERM))
 
 
 class ParallelExecutor:
@@ -249,25 +229,11 @@ class ParallelExecutor:
 
         attempts: dict[int, int] = {id(spec): 0 for spec in specs}
         round_no = 0
-        stalled = 0
         while pending:
             if round_no > 0:
                 time.sleep(self._jitter(round_no))
-            finished, unfinished = self._run_round(pending, attempts)
-            stalled = stalled + 1 if not finished else 0
-            if stalled >= _MAX_STALLED_ROUNDS:
-                for spec in unfinished:
-                    attempts[id(spec)] += 1
-                    result = self._worker_death_result(
-                        spec,
-                        attempts[id(spec)],
-                        "process pool kept breaking before this run could finish",
-                    )
-                    self._stream(result)
-                    finished.append((spec, result))
-                unfinished = []
             retry_ids: set[int] = set()
-            for spec, result in finished:
+            for spec, result in self._run_round(pending, attempts):
                 sid = id(spec)
                 if result.failed and attempts[sid] <= self.max_retries:
                     retry_ids.add(sid)
@@ -275,10 +241,7 @@ class ParallelExecutor:
                     results[sid] = result
                     if checkpoint is not None:
                         checkpoint.record(keys[sid], result)
-            unfinished_ids = {id(spec) for spec in unfinished}
-            pending = [
-                spec for spec in pending if id(spec) in unfinished_ids or id(spec) in retry_ids
-            ]
+            pending = [spec for spec in pending if id(spec) in retry_ids]
             round_no += 1
 
         ordered = [results[id(spec)] for spec in specs]
@@ -289,183 +252,61 @@ class ParallelExecutor:
     # ------------------------------------------------------------------
     def _run_round(
         self, specs: list[RunSpec], attempts: dict[int, int]
-    ) -> tuple[list[tuple[RunSpec, RunResult]], list[RunSpec]]:
-        """One execution round: at most one pool lifetime plus inline runs.
+    ) -> list[tuple[RunSpec, RunResult]]:
+        """One attempt of every spec; returns charged, streamed results.
 
-        Returns ``(finished, unfinished)`` — finished pairs carry charged,
-        telemetry-streamed results; unfinished specs were either never
-        started or were innocent bystanders of a pool break, and cost no
-        attempt.
+        With ``n_workers > 1`` each picklable spec runs in a process of
+        its own, at most ``n_workers`` at a time, and sends its result
+        back over a one-way pipe.  A pipe that closes without a result
+        means that process died: its run, and only its run, is charged
+        a failed attempt.  Live children are terminated if the parent
+        raises.  Unpicklable specs run in-process afterwards.
         """
-        finished: list[tuple[RunSpec, RunResult]] = []
-        unfinished: list[RunSpec] = []
-        if self.n_workers <= 1:
-            pooled: list[RunSpec] = []
-            inline = list(specs)
-        else:
-            # Even a single remaining spec (e.g. the one retry of a run
-            # whose worker died) goes through the pool: with n_workers > 1
-            # the pool is the *isolation* boundary, and executing the spec
-            # inline would let a second hard death take down the study.
-            inline = [spec for spec in specs if not _picklable(spec)]
-            inline_ids = {id(spec) for spec in inline}
-            pooled = [spec for spec in specs if id(spec) not in inline_ids]
-        if pooled:
-            finished, unfinished = self._run_pool(pooled, attempts)
-        for spec in inline:
-            attempts[id(spec)] += 1
-            result = execute_run(spec)
-            result.attempts = attempts[id(spec)]
-            self._stream(result)
-            finished.append((spec, result))
-        return finished, unfinished
-
-    def _run_pool(
-        self, specs: list[RunSpec], attempts: dict[int, int]
-    ) -> tuple[list[tuple[RunSpec, RunResult]], list[RunSpec]]:
-        """Run specs on one freshly spawned pool, harvesting as completed."""
-        workers = min(self.n_workers, len(specs))
-        journal_dir = tempfile.mkdtemp(prefix="repro-attempts-")
-        finished: list[tuple[RunSpec, RunResult]] = []
-        harvested: set[int] = set()
-        tokens = {id(spec): str(i) for i, spec in enumerate(specs)}
-        broken = False
-        try:
-            pool = ProcessPoolExecutor(max_workers=workers)
-            try:
-                by_future = {}
-                submitted: set[int] = set()
-                try:
-                    for spec in specs:
-                        fut = pool.submit(
-                            _journaled_run, spec, journal_dir, tokens[id(spec)]
-                        )
-                        by_future[fut] = spec
-                        submitted.add(id(spec))
-                except BrokenExecutor:
-                    broken = True
-                # Worker processes spawn synchronously during submit; this
-                # snapshot (a CPython implementation detail, hence the
-                # getattr guard) is what exit-code attribution reads.
-                procs = dict(getattr(pool, "_processes", None) or {})
-                for fut in as_completed(by_future):
-                    spec = by_future[fut]
-                    try:
-                        result = fut.result()
-                    except BrokenExecutor:
-                        broken = True
-                        continue
-                    except Exception as exc:  # noqa: BLE001 — e.g. a result that fails to unpickle
-                        result = self._worker_death_result(
-                            spec, attempts[id(spec)] + 1,
-                            f"result lost in transit: {type(exc).__name__}: {exc}",
-                        )
-                    attempts[id(spec)] += 1
-                    result.attempts = attempts[id(spec)]
-                    harvested.add(id(spec))
-                    self._stream(result)
-                    finished.append((spec, result))
-            finally:
-                pool.shutdown(wait=True)
-            if broken:
-                dead_pids = {
-                    pid
-                    for pid, proc in procs.items()
-                    if proc.exitcode not in _COLLATERAL_EXIT_CODES
-                }
-                finished_extra, unfinished = self._settle_break(
-                    specs, harvested, submitted, tokens, journal_dir, dead_pids, attempts
-                )
-                finished.extend(finished_extra)
-                return finished, unfinished
-            return finished, []
-        finally:
-            shutil.rmtree(journal_dir, ignore_errors=True)
-
-    def _settle_break(
-        self,
-        specs: list[RunSpec],
-        harvested: set[int],
-        submitted: set[int],
-        tokens: dict[int, str],
-        journal_dir: str,
-        dead_pids: set[int],
-        attempts: dict[int, int],
-    ) -> tuple[list[tuple[RunSpec, RunResult]], list[RunSpec]]:
-        """Classify every unharvested spec after a pool break.
-
-        - a ``.done`` journal entry: the run completed but its future was
-          lost with the pool — recover the result (first attempt stands);
-        - a ``.start`` entry whose worker pid died (non-collateral exit
-          code): the run was on the dead worker — charge a failed attempt;
-        - otherwise (never started, or torn down mid-run by the pool
-          manager): resubmit on the next pool, free of charge.
-        """
-        finished: list[tuple[RunSpec, RunResult]] = []
-        unfinished: list[RunSpec] = []
-        suspects: list[RunSpec] = []
+        forked: list[RunSpec] = []
+        inline: list[RunSpec] = []
         for spec in specs:
-            sid = id(spec)
-            if sid in harvested:
-                continue
-            if sid not in submitted:
-                unfinished.append(spec)
-                continue
-            token = tokens[sid]
-            done_path = os.path.join(journal_dir, f"{token}.done")
-            start_path = os.path.join(journal_dir, f"{token}.start")
-            if os.path.exists(done_path):
-                try:
-                    with open(done_path, encoding="utf-8") as fh:
-                        record = json.load(fh)
-                    result = record_to_result(record, spec.space)
-                except (json.JSONDecodeError, KeyError, OSError):
-                    # Unreadable journal entry: treat as never finished.
-                    unfinished.append(spec)
-                    continue
-                attempts[sid] += 1
-                result.attempts = attempts[sid]
-                self._stream(result)
-                finished.append((spec, result))
-                continue
-            if os.path.exists(start_path):
-                try:
-                    with open(start_path, encoding="utf-8") as fh:
-                        pid = int(fh.read().strip() or "-1")
-                except (OSError, ValueError):
-                    pid = -1
-                if pid in dead_pids or not dead_pids:
-                    # Attributed to the dead worker — or, when exit codes
-                    # gave us nothing (e.g. the manager hard-killed every
-                    # worker), conservatively charge every in-flight run
-                    # so a deterministic killer cannot respawn pools
-                    # forever.
-                    suspects.append(spec)
-                else:
-                    unfinished.append(spec)
-                continue
-            unfinished.append(spec)
-        for spec in suspects:
-            sid = id(spec)
-            attempts[sid] += 1
-            detail = (
-                f"pool broke while run {spec.run_index} was on a dead worker "
-                f"(dead pids: {sorted(dead_pids) or 'unknown'})"
-            )
-            result = self._worker_death_result(spec, attempts[sid], detail)
-            self._stream(result)
-            finished.append((spec, result))
-        return finished, unfinished
+            (forked if self.n_workers > 1 and _picklable(spec) else inline).append(spec)
+        finished: list[tuple[RunSpec, RunResult]] = []
+        running: dict[Connection, tuple[RunSpec, multiprocessing.Process]] = {}
+        try:
+            while forked or running:
+                while forked and len(running) < self.n_workers:
+                    spec = forked.pop(0)
+                    reader, writer = multiprocessing.Pipe(duplex=False)
+                    proc = multiprocessing.Process(target=_attempt, args=(spec, writer))
+                    proc.start()
+                    writer.close()
+                    running[reader] = (spec, proc)
+                for reader in wait(list(running)):
+                    spec, proc = running[reader]
+                    try:
+                        result = reader.recv()
+                    except EOFError:
+                        proc.join()
+                        result = _worker_death_result(spec, f"exit code {proc.exitcode}")
+                    except Exception as exc:  # noqa: BLE001 — e.g. a result that fails to unpickle
+                        result = _worker_death_result(spec, _lost_in_transit(exc))
+                    proc.join()
+                    reader.close()
+                    del running[reader]
+                    finished.append(self._charge(spec, result, attempts))
+        finally:
+            for reader, (_, proc) in running.items():
+                proc.terminate()
+                proc.join()
+                reader.close()
+        for spec in inline:
+            finished.append(self._charge(spec, execute_run(spec), attempts))
+        return finished
 
-    @staticmethod
-    def _worker_death_result(spec: RunSpec, attempt: int, detail: str) -> RunResult:
-        return RunResult(
-            run_index=spec.run_index,
-            failed=True,
-            error=f"worker died: {detail}",
-            attempts=attempt,
-            tags=dict(spec.tags),
-        )
+    def _charge(
+        self, spec: RunSpec, result: RunResult, attempts: dict[int, int]
+    ) -> tuple[RunSpec, RunResult]:
+        """Count ``result`` as the spec's next attempt and stream it."""
+        attempts[id(spec)] += 1
+        result.attempts = attempts[id(spec)]
+        self._stream(result)
+        return spec, result
 
     # ------------------------------------------------------------------
     def _stream(self, result: RunResult) -> None:
@@ -478,6 +319,6 @@ class ParallelExecutor:
         )
 
     def _jitter(self, attempt: int) -> float:
-        """Deterministic short backoff before respawning a pool."""
+        """Deterministic short backoff before a retry round."""
         rng = np.random.default_rng(0xC0FFEE + attempt)
         return float(rng.uniform(0.05, 0.25))

@@ -5,10 +5,10 @@ module injects the three failure modes the executor must contain, in a
 form tests can replay exactly:
 
 - :class:`WorkerKiller` — a picklable per-iteration hook
-  (``RunSpec.iteration_hook``) that hard-kills the worker process with
-  ``os._exit`` at a chosen iteration, breaking the process pool exactly
-  the way an OOM kill does.  Armed/disarmed through a filesystem marker
-  so "kill the first attempt only" survives the pool respawn.
+  (``RunSpec.iteration_hook``) that hard-kills the run's process with
+  ``os._exit`` at a chosen iteration, exactly the way an OOM kill does.
+  Armed/disarmed through a filesystem marker so "kill the first attempt
+  only" holds across the attempts' processes.
 - :class:`FlakyEval` — wraps an objective and raises
   :class:`InjectedFault` inside it for the first ``fail_attempts``
   attempts (counted through a marker file, i.e. across processes), then
@@ -65,13 +65,13 @@ def _write_count(path: str, value: int) -> None:
 
 @dataclass
 class WorkerKiller:
-    """Iteration hook that kills the worker process mid-run.
+    """Iteration hook that kills the run's process mid-run.
 
     ``arm_dir`` holds the fired-marker: with ``once=True`` (the default)
     the first attempt dies and every later attempt of the same run
     survives — the canonical "transient worker death" the scheduler must
     absorb without losing anyone else's work.  ``once=False`` kills every
-    attempt, modelling a run that deterministically takes its worker down
+    attempt, modelling a run that deterministically takes its process down
     (e.g. an OOM-sized configuration).
     """
 
@@ -91,34 +91,24 @@ class WorkerKiller:
         if self.once and os.path.exists(marker):
             return
         _write_count(marker, _read_count(marker) + 1)
-        # A hard death: no exception propagation, no cleanup, no flushing
-        # of the result back to the parent — exactly what the scheduler's
-        # attempt journal exists to survive.
+        # A hard death: no exception propagation, no cleanup, no result
+        # sent back to the parent — the scheduler charges it to this run.
         os._exit(self.exit_code)
 
 
 @dataclass
-class FlakyEval:
-    """Objective wrapper that raises for the first ``fail_attempts`` calls.
+class _ObjectiveWrapper:
+    """Base of the objective-wrapping injectors.
 
-    The failure counter lives in ``arm_path`` on disk, so it keeps
-    counting across worker processes and pool respawns.  All other
-    attribute access (``direction``, ``score_of``, ``server``, the
-    session protocol methods) is delegated to the wrapped objective.
+    All attribute access the wrapper does not define itself
+    (``direction``, ``score_of``, ``server``, the session protocol
+    methods) is delegated to ``inner``.  ``inner`` stays out of the repr,
+    which :func:`repro.parallel.checkpoint.spec_key` hashes: the default
+    repr of a plain objective embeds its memory address, so a spec
+    carrying it would get a different key in every process.
     """
 
-    inner: Any
-    arm_path: str
-    fail_attempts: int = 1
-
-    def __call__(self, config: Any) -> Any:
-        fired = _read_count(self.arm_path)
-        if fired < self.fail_attempts:
-            _write_count(self.arm_path, fired + 1)
-            raise InjectedFault(
-                f"injected evaluation failure {fired + 1}/{self.fail_attempts}"
-            )
-        return self.inner(config)
+    inner: Any = field(repr=False)
 
     def __getattr__(self, name: str) -> Any:
         # ``__getattr__`` fires during unpickling before ``__dict__`` is
@@ -132,11 +122,32 @@ class FlakyEval:
         return getattr(inner, name)
 
 
+@dataclass
+class FlakyEval(_ObjectiveWrapper):
+    """Objective wrapper that raises for the first ``fail_attempts`` calls.
+
+    The failure counter lives in ``arm_path`` on disk, so it keeps
+    counting across the processes of a run's attempts.
+    """
+
+    arm_path: str
+    fail_attempts: int = 1
+
+    def __call__(self, config: Any) -> Any:
+        fired = _read_count(self.arm_path)
+        if fired < self.fail_attempts:
+            _write_count(self.arm_path, fired + 1)
+            raise InjectedFault(
+                f"injected evaluation failure {fired + 1}/{self.fail_attempts}"
+            )
+        return self.inner(config)
+
+
 # ----------------------------------------------------------------------
 # objective-level chaos (exercises the GuardedObjective boundary)
 # ----------------------------------------------------------------------
 @dataclass
-class RaisingObjective:
+class RaisingObjective(_ObjectiveWrapper):
     """Objective wrapper that raises ``ValueError`` at chosen call indices.
 
     Models a buggy objective (bad math, a crashing client library): the
@@ -148,7 +159,6 @@ class RaisingObjective:
     often) the run executes.
     """
 
-    inner: Any = field(repr=False)
     at_calls: tuple[int, ...] = ()
     always: bool = False
     n_calls: int = field(default=0, repr=False, compare=False)
@@ -160,17 +170,9 @@ class RaisingObjective:
             raise ValueError(f"injected objective bug at call {call}")
         return self.inner(config)
 
-    def __getattr__(self, name: str) -> Any:
-        if name.startswith("__"):
-            raise AttributeError(name)
-        inner = self.__dict__.get("inner")
-        if inner is None:
-            raise AttributeError(name)
-        return getattr(inner, name)
-
 
 @dataclass
-class HangingObjective:
+class HangingObjective(_ObjectiveWrapper):
     """Objective wrapper that hangs (then dies) at chosen call indices.
 
     Sleeps ``hang_seconds`` and raises :class:`InjectedFault` *without
@@ -181,7 +183,6 @@ class HangingObjective:
     no inner-objective state at all.
     """
 
-    inner: Any = field(repr=False)
     at_calls: tuple[int, ...] = ()
     hang_seconds: float = 0.5
     n_calls: int = field(default=0, repr=False, compare=False)
@@ -196,17 +197,9 @@ class HangingObjective:
             raise InjectedFault(f"injected hang at call {call}")
         return self.inner(config)
 
-    def __getattr__(self, name: str) -> Any:
-        if name.startswith("__"):
-            raise AttributeError(name)
-        inner = self.__dict__.get("inner")
-        if inner is None:
-            raise AttributeError(name)
-        return getattr(inner, name)
-
 
 @dataclass
-class TransientObjective:
+class TransientObjective(_ObjectiveWrapper):
     """Objective wrapper raising transient failures on a fixed schedule.
 
     Raises :class:`repro.resilience.TransientEvaluationError` at the
@@ -217,7 +210,6 @@ class TransientObjective:
     fully deterministic.
     """
 
-    inner: Any = field(repr=False)
     fail_calls: tuple[int, ...] = ()
     n_calls: int = field(default=0, repr=False, compare=False)
 
@@ -229,14 +221,6 @@ class TransientObjective:
         if call in self.fail_calls:
             raise TransientEvaluationError(f"injected transient failure at call {call}")
         return self.inner(config)
-
-    def __getattr__(self, name: str) -> Any:
-        if name.startswith("__"):
-            raise AttributeError(name)
-        inner = self.__dict__.get("inner")
-        if inner is None:
-            raise AttributeError(name)
-        return getattr(inner, name)
 
 
 def transient_schedule(seed: int, n_calls: int, rate: float = 0.15) -> tuple[int, ...]:

@@ -98,12 +98,13 @@ def write_telemetry(path: str, results: Iterable[RunResult]) -> None:
             fh.write(json.dumps(telemetry_record(result, event="final")) + "\n")
 
 
-def read_telemetry(path: str) -> list[dict[str, Any]]:
-    """Read back all records, skipping a truncated final line.
+def read_jsonl(path: str, kind: str) -> list[dict[str, Any]]:
+    """Every record of a JSONL file, skipping a torn final line.
 
-    A worker kill or study kill can land mid-append; the resulting torn
-    trailing line is dropped with a warning.  A malformed line *before*
-    intact ones still raises — that is corruption, not a crash artifact.
+    A kill can land mid-append; the resulting torn trailing line is
+    dropped with a warning naming the file's ``kind``.  A malformed line
+    *before* intact ones still raises — that is corruption, not a crash
+    artifact.
     """
     records: list[dict[str, Any]] = []
     with open(path, encoding="utf-8") as fh:
@@ -112,16 +113,20 @@ def read_telemetry(path: str) -> list[dict[str, Any]]:
         try:
             records.append(json.loads(line))
         except json.JSONDecodeError:
-            if i == len(lines) - 1:
-                warnings.warn(
-                    f"skipping torn final telemetry line in {path} "
-                    "(writer was likely killed mid-append)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                break
-            raise
+            if i < len(lines) - 1:
+                raise
+            warnings.warn(
+                f"skipping torn final {kind} line in {path} "
+                "(its writer was likely killed mid-append)",
+                RuntimeWarning,
+                stacklevel=3,
+            )
     return records
+
+
+def read_telemetry(path: str) -> list[dict[str, Any]]:
+    """Read back all records, skipping a truncated final line."""
+    return read_jsonl(path, "telemetry")
 
 
 def final_records(records: Iterable[dict[str, Any]]) -> list[dict[str, Any]]:

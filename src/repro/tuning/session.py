@@ -126,13 +126,6 @@ class TuningSession:
     # ------------------------------------------------------------------
     # reporting helpers
     # ------------------------------------------------------------------
-    def best_observation(self) -> Observation:
-        return self.history.best()
-
-    def suggest_overhead_seconds(self) -> list[float]:
-        """Per-iteration algorithm overhead (Figure 9's y-axis)."""
-        return [o.suggest_seconds for o in self.history]
-
     def total_simulated_hours(self) -> float:
         """Simulated wall-clock the paper's real testbed would have spent."""
         return sum(o.simulated_seconds for o in self.history) / 3600.0

@@ -132,6 +132,13 @@ class TestStudyCheckpoint:
             cache = StudyCheckpoint(path).load()
         assert set(cache) == {spec_key(specs[0])}
 
+    def test_midfile_corruption_still_raises(self, tmp_path):
+        path = str(tmp_path / "ck.jsonl")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write('{"key": "a", "result": {}}\n{"torn...\n{"key": "b", "result": {}}\n')
+        with pytest.raises(json.JSONDecodeError):
+            StudyCheckpoint(path).load()
+
 
 class TestResume:
     def test_completed_runs_are_not_reexecuted(self, small_space, tmp_path):

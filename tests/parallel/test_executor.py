@@ -7,7 +7,11 @@ aborts the study), and per-run JSONL telemetry.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import threading
+import time
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -70,6 +74,44 @@ class FlakyObjective:
 
     def default_score(self) -> float:
         return 0.0
+
+
+class UnpicklableResultObjective:
+    """Picklable objective whose observations cannot be pickled back."""
+
+    def __call__(self, config):
+        return Observation(
+            config=Configuration(dict(config)),
+            objective=1.0,
+            score=1.0,
+            metrics={"lock": threading.Lock()},
+        )
+
+    def failure_fallback_score(self) -> float:
+        return -1.0
+
+    def default_score(self) -> float:
+        return 0.0
+
+
+@dataclass
+class PidRecorder:
+    """Iteration hook that records the pid of the process running it."""
+
+    directory: str
+
+    def __call__(self, iteration, observation) -> None:
+        open(os.path.join(self.directory, str(os.getpid())), "w").close()
+
+
+@dataclass
+class Stall:
+    """Iteration hook that keeps its run busy for ``seconds``."""
+
+    seconds: float
+
+    def __call__(self, iteration, observation) -> None:
+        time.sleep(self.seconds)
 
 
 class TestSeedDerivation:
@@ -181,6 +223,47 @@ class TestCrashResilience:
                 seed=5,
             )
         assert len(histories) == 2
+
+
+class TestProcessPerAttempt:
+    def test_each_attempt_runs_in_its_own_process(self, small_space, tmp_path):
+        specs = [_spec(small_space, i) for i in range(4)]
+        for spec in specs:
+            spec.iteration_hook = PidRecorder(str(tmp_path))
+        results = ParallelExecutor(n_workers=2).run(specs)
+        assert not any(r.failed for r in results)
+        pids = {int(name) for name in os.listdir(tmp_path)}
+        assert len(pids) == 4
+        assert os.getpid() not in pids
+
+    def test_unpicklable_result_is_a_failed_retried_attempt(self, small_space):
+        specs = [
+            _spec(small_space, 0),
+            _spec(small_space, 1, objective=UnpicklableResultObjective()),
+            _spec(small_space, 2),
+        ]
+        results = ParallelExecutor(n_workers=2).run(specs)
+        assert results[1].failed and results[1].history is None
+        assert "result lost in transit" in results[1].error
+        assert results[1].attempts == 2
+        for i in (0, 2):
+            assert not results[i].failed
+            assert results[i].attempts == 1
+
+    def test_parent_failure_stops_every_child(self, small_space, tmp_path, monkeypatch):
+        import repro.parallel.executor as executor_mod
+
+        def broken_append(path, record):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(executor_mod, "append_telemetry_record", broken_append)
+        specs = [_spec(small_space, i) for i in range(4)]
+        for spec in specs[1:]:
+            spec.iteration_hook = Stall(10.0)
+        executor = ParallelExecutor(n_workers=2, telemetry_path=str(tmp_path / "t.jsonl"))
+        with pytest.raises(OSError, match="disk full"):
+            executor.run(specs)
+        assert multiprocessing.active_children() == []
 
 
 class TestTelemetry:

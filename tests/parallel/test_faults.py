@@ -1,8 +1,8 @@
 """Fault-injection tests: the executor's containment contract, enforced.
 
-These tests kill real worker processes mid-run (via the seeded injectors
+These tests kill real run processes mid-run (via the seeded injectors
 in :mod:`repro.parallel.faults`) and assert the scheduler's three
-guarantees: a pool break costs only the run on the dead worker, retries
+guarantees: a process death costs only the run it was executing, retries
 reuse the spec's original seeds (so recovered histories are identical to
 never-failed ones), and torn telemetry/checkpoint tails never take down
 a reader.
@@ -29,6 +29,7 @@ from repro.parallel import (
     choose_victims,
     read_telemetry,
     result_fingerprint,
+    spec_key,
     truncate_tail,
 )
 from repro.space import Configuration
@@ -95,6 +96,15 @@ class TestInjectors:
         assert flaky.failure_fallback_score() == -1.0
         with pytest.raises(AttributeError):
             flaky.no_such_attribute
+
+    def test_flaky_eval_spec_key_is_stable(self, small_space, tmp_path):
+        # A resumed study finds a run by its key, so the key must not
+        # depend on where the wrapped objective happens to live in memory.
+        arm = str(tmp_path / "flaky")
+        a, b = (_specs(small_space, n_runs=1)[0] for _ in range(2))
+        for spec in (a, b):
+            spec.objective = FlakyEval(SimpleObjective(), arm_path=arm)
+        assert spec_key(a) == spec_key(b)
 
     def test_flaky_eval_counts_across_processes(self, tmp_path):
         arm = str(tmp_path / "flaky")
