@@ -205,21 +205,6 @@ class ProgramIndex:
                         break
         return {c: self.classes[c] for c in sorted(members)}
 
-    def method_of(self, indexed: IndexedClass, name: str) -> FunctionFacts | None:
-        """Resolve a method through the (analyzed) base-class chain."""
-        seen: set[str] = set()
-        queue = [indexed.canonical]
-        while queue:
-            canonical = queue.pop(0)
-            if canonical in seen or canonical not in self.classes:
-                continue
-            seen.add(canonical)
-            cls = self.classes[canonical]
-            if name in cls.facts.methods:
-                return cls.facts.methods[name]
-            queue.extend(cls.resolved_bases)
-        return None
-
     # ------------------------------------------------------------------
     # taint fixpoints
     # ------------------------------------------------------------------

@@ -9,12 +9,12 @@ The O(n^3) Cholesky cost per (re)fit is intentional and *measured* by the
 algorithm-overhead experiment (paper Figure 9).  What is **not** intentional
 is implementation overhead on top of it:
 
-* ``fit`` threads a per-fit :class:`~repro.perf.cache.KernelCache` through
-  every kernel evaluation (the pairwise distances are theta-independent and
-  identical across the 140-240 likelihood evaluations of one
-  hyperparameter search) and derives the final ``log_marginal_likelihood_``
-  from the factorization it already has instead of running a third
-  Cholesky.
+* ``fit`` builds the kernel's theta-independent pairwise structure of the
+  training rows once (``Kernel.pairwise``: distances, mismatch counts) and
+  evaluates the covariance from it (``Kernel.from_pairwise``) at each of
+  the 140-240 thetas of one hyperparameter search and for the final
+  factorization; it derives the final ``log_marginal_likelihood_`` from
+  that factorization instead of running a third Cholesky.
 * L-BFGS-B gets the likelihood and its forward-difference gradient from one
   call per step.  The gradient is the one scipy's finite-difference code
   computes for ``eps=1e-3`` (same stencil points, same step flip at the
@@ -25,15 +25,17 @@ is implementation overhead on top of it:
   input checks that ``scipy.linalg.cholesky``, ``cho_solve`` and
   ``solve_triangular`` use, minus their per-call dispatch.
 
-All of it is bit-identical to the scipy-wrapper path and to kernel calls
-without a cache (``tests/ml/test_gp_bit_identity.py``,
-``tests/ml/test_gp_cache.py``).  Every ``fit`` is a from-scratch fit: a
-hyperparameter search and a fresh factorization of the full history.
+All of it is bit-identical to the scipy-wrapper path and to a fit that
+rebuilds the pairwise structure at every theta
+(``tests/ml/test_gp_bit_identity.py``, ``tests/ml/test_gp_cache.py``).
+Every ``fit`` is a from-scratch fit: a hyperparameter search and a fresh
+factorization of the full history.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Any
 
 import numpy as np
 from scipy import optimize, stats
@@ -41,7 +43,6 @@ from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from repro.ml.kernels import Kernel, RBFKernel
-from repro.perf.cache import KernelCache
 
 # scipy's absolute finite-difference step for L-BFGS-B (its ``eps``).
 _FD_STEP = 1e-3
@@ -144,11 +145,12 @@ class GaussianProcessRegressor:
         self.log_marginal_likelihood_: float = float("-inf")
 
     # ------------------------------------------------------------------
-    def _lml(self, X: np.ndarray, y: np.ndarray, cache: KernelCache | None = None) -> float:
-        """Log marginal likelihood at the kernel's current theta (``-inf``
+    def _lml(self, P: Any, y: np.ndarray) -> float:
+        """Log marginal likelihood at the kernel's current theta, from the
+        kernel's pairwise structure ``P`` of the training rows (``-inf``
         where the covariance is not positive definite)."""
-        n = len(X)
-        K = self.kernel(X, X, cache) + (self.noise + 1e-8) * np.eye(n)
+        n = len(y)
+        K = self.kernel.from_pairwise(P) + (self.noise + 1e-8) * np.eye(n)
         try:
             L = _cholesky(K)
         except LinAlgError:
@@ -158,9 +160,7 @@ class GaussianProcessRegressor:
             -0.5 * y @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * n * np.log(2.0 * np.pi)
         )
 
-    def _fit_hyperparams(
-        self, X: np.ndarray, y: np.ndarray, cache: KernelCache | None = None
-    ) -> None:
+    def _fit_hyperparams(self, P: Any, y: np.ndarray) -> None:
         bounds = self.kernel.bounds
         if not bounds:
             return
@@ -181,7 +181,7 @@ class GaussianProcessRegressor:
             if hit is not None:
                 return hit
             self.kernel.theta = theta
-            return -self._lml(X, y, cache)
+            return -self._lml(P, y)
 
         def value_and_gradient(theta: np.ndarray) -> tuple[float, np.ndarray]:
             # scipy's 2-point rule for an absolute step: step forward, or
@@ -235,12 +235,12 @@ class GaussianProcessRegressor:
             self._y_mean, self._y_std = 0.0, 1.0
         yn = (y - self._y_mean) / self._y_std
 
-        cache = KernelCache()
+        P = self.kernel.pairwise(X, X)
         if self.optimize_hyperparams:
-            self._fit_hyperparams(X, yn, cache)
+            self._fit_hyperparams(P, yn)
 
         n = len(X)
-        K = self.kernel(X, X, cache) + (self.noise + 1e-8) * np.eye(n)
+        K = self.kernel.from_pairwise(P) + (self.noise + 1e-8) * np.eye(n)
         jitter = 1e-8
         while True:
             try:
@@ -302,8 +302,7 @@ class GaussianProcessRegressor:
             raise RuntimeError("GP is not fitted")
         rng = np.random.default_rng(self.seed) if rng is None else rng
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        cache = KernelCache()
-        K_star = self.kernel(X, self._X, cache)
+        K_star = self.kernel(X, self._X)
         mean = K_star @ self._alpha
         v = _solve_lower(self._chol, K_star.T)
         if len(X) == 1:
@@ -311,7 +310,7 @@ class GaussianProcessRegressor:
             draws = mean[0] + math.sqrt(max(var, 0.0)) * rng.standard_normal(n_samples)
             draws = draws[:, None]
         else:
-            cov = self.kernel(X, X, cache) - v.T @ v
+            cov = self.kernel(X, X) - v.T @ v
             cov += 1e-8 * np.eye(len(X))
             draws = stats.multivariate_normal.rvs(
                 mean=mean, cov=cov, size=n_samples, random_state=rng

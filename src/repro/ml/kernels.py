@@ -9,12 +9,15 @@ spurious ordering.
 Every kernel exposes a log-space hyperparameter vector (``theta``) with
 box bounds so the GP can maximize marginal likelihood over it.
 
-``__call__`` optionally accepts a :class:`~repro.perf.cache.KernelCache`;
-stationary kernels use it to reuse their theta-independent pairwise
-structures (squared distances, Hamming mismatch counts) across the many
-likelihood evaluations of one hyperparameter fit.  Passing a cache never
-changes the produced matrix — the cached array is built by the same
-routine the uncached call runs.
+A kernel is evaluated in two stages.  ``pairwise(A, B)`` returns what
+the kernel reads of its operands, which never depends on theta: squared
+distances (RBF), distances (Matérn-5/2), mismatch counts (Hamming),
+operand sizes (constant; white noise adds whether the operands are
+equal), a pair of child structures (product and sum), and ``(A, B)`` by
+default.  ``from_pairwise(P)`` returns the covariance matrix at the
+current theta, and ``__call__(A, B)`` is the second stage applied to
+the first.  A GP fit builds the structure of its training rows once and
+reuses it at every theta of its hyperparameter search.
 
 Two paths skip a large temporary.  ``ConstantKernel.diag`` returns the
 variance vector instead of the diagonal of an n x n ``self(X, X)``, and
@@ -27,11 +30,9 @@ bytes and dtype of the computation they replace
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
-
-from repro.perf.cache import KernelCache
 
 _LOG_BOUND = (math.log(1e-3), math.log(1e3))
 
@@ -65,31 +66,18 @@ def _select(X: np.ndarray, dims: np.ndarray | None) -> np.ndarray:
 
 
 class Kernel:
-    """Base covariance function.
+    """Base covariance function."""
 
-    ``cache`` is an optional :class:`KernelCache` whose lifetime must not
-    exceed that of the operand arrays (entries are keyed by operand
-    identity); kernels store only theta-independent intermediates in it.
-    """
+    def pairwise(self, A: np.ndarray, B: np.ndarray) -> Any:
+        """The theta-independent structure :meth:`from_pairwise` reads."""
+        return A, B
 
-    def __call__(
-        self, A: np.ndarray, B: np.ndarray, cache: KernelCache | None = None
-    ) -> np.ndarray:
+    def from_pairwise(self, P: Any) -> np.ndarray:
+        """The covariance matrix at the current theta."""
         raise NotImplementedError
 
-    def _cached(
-        self,
-        cache: KernelCache | None,
-        role: str,
-        A: np.ndarray,
-        B: np.ndarray,
-        builder,
-    ):
-        """Memoize a theta-independent pairwise structure for ``(A, B)``."""
-        if cache is None:
-            return builder()
-        key = (id(self), role, id(A), id(B), np.shape(A), np.shape(B))
-        return cache.get(key, builder)
+    def __call__(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        return self.from_pairwise(self.pairwise(A, B))
 
     def diag(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -124,12 +112,11 @@ class ConstantKernel(Kernel):
             raise ValueError("variance must be > 0")
         self.variance = variance
 
-    def __call__(
-        self, A: np.ndarray, B: np.ndarray, cache: KernelCache | None = None
-    ) -> np.ndarray:
-        A = np.atleast_2d(A)
-        B = np.atleast_2d(B)
-        return np.full((len(A), len(B)), self.variance)
+    def pairwise(self, A: np.ndarray, B: np.ndarray) -> tuple[int, int]:
+        return len(np.atleast_2d(A)), len(np.atleast_2d(B))
+
+    def from_pairwise(self, P: tuple[int, int]) -> np.ndarray:
+        return np.full(P, self.variance)
 
     def diag(self, X: np.ndarray) -> np.ndarray:
         return np.full(len(np.atleast_2d(X)), self.variance)
@@ -155,14 +142,15 @@ class WhiteKernel(Kernel):
             raise ValueError("noise must be > 0")
         self.noise = noise
 
-    def __call__(
-        self, A: np.ndarray, B: np.ndarray, cache: KernelCache | None = None
-    ) -> np.ndarray:
+    def pairwise(self, A: np.ndarray, B: np.ndarray) -> tuple[int, int, bool]:
         A = np.atleast_2d(A)
         B = np.atleast_2d(B)
-        if A is B or (A.shape == B.shape and np.array_equal(A, B)):
-            return self.noise * np.eye(len(A))
-        return np.zeros((len(A), len(B)))
+        same = A is B or (A.shape == B.shape and np.array_equal(A, B))
+        return len(A), len(B), same
+
+    def from_pairwise(self, P: tuple[int, int, bool]) -> np.ndarray:
+        m, n, same = P
+        return self.noise * np.eye(m) if same else np.zeros((m, n))
 
     def diag(self, X: np.ndarray) -> np.ndarray:
         return np.full(len(np.atleast_2d(X)), self.noise)
@@ -189,17 +177,11 @@ class RBFKernel(Kernel):
         self.lengthscale = lengthscale
         self.dims = None if dims is None else np.asarray(dims, dtype=int)
 
-    def __call__(
-        self, A: np.ndarray, B: np.ndarray, cache: KernelCache | None = None
-    ) -> np.ndarray:
-        d2 = self._cached(
-            cache,
-            "sq_dists",
-            A,
-            B,
-            lambda: _sq_dists(_select(A, self.dims), _select(B, self.dims)),
-        )
-        return np.exp(-0.5 * d2 / self.lengthscale**2)
+    def pairwise(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        return _sq_dists(_select(A, self.dims), _select(B, self.dims))
+
+    def from_pairwise(self, P: np.ndarray) -> np.ndarray:
+        return np.exp(-0.5 * P / self.lengthscale**2)
 
     def diag(self, X: np.ndarray) -> np.ndarray:
         return np.ones(len(np.atleast_2d(X)))
@@ -226,17 +208,11 @@ class Matern52Kernel(Kernel):
         self.lengthscale = lengthscale
         self.dims = None if dims is None else np.asarray(dims, dtype=int)
 
-    def __call__(
-        self, A: np.ndarray, B: np.ndarray, cache: KernelCache | None = None
-    ) -> np.ndarray:
-        dists = self._cached(
-            cache,
-            "dists",
-            A,
-            B,
-            lambda: np.sqrt(_sq_dists(_select(A, self.dims), _select(B, self.dims))),
-        )
-        r = dists / self.lengthscale
+    def pairwise(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        return np.sqrt(_sq_dists(_select(A, self.dims), _select(B, self.dims)))
+
+    def from_pairwise(self, P: np.ndarray) -> np.ndarray:
+        r = P / self.lengthscale
         sqrt5_r = math.sqrt(5.0) * r
         return (1.0 + sqrt5_r + 5.0 * r**2 / 3.0) * np.exp(-sqrt5_r)
 
@@ -270,14 +246,11 @@ class HammingKernel(Kernel):
         self.lengthscale = lengthscale
         self.dims = None if dims is None else np.asarray(dims, dtype=int)
 
-    def __call__(
-        self, A: np.ndarray, B: np.ndarray, cache: KernelCache | None = None
-    ) -> np.ndarray:
-        def mismatches() -> np.ndarray:
-            return _mismatch_counts(_select(A, self.dims), _select(B, self.dims))
+    def pairwise(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        return _mismatch_counts(_select(A, self.dims), _select(B, self.dims))
 
-        diff = self._cached(cache, "hamming", A, B, mismatches)
-        return np.exp(-diff / self.lengthscale)
+    def from_pairwise(self, P: np.ndarray) -> np.ndarray:
+        return np.exp(-P / self.lengthscale)
 
     def diag(self, X: np.ndarray) -> np.ndarray:
         return np.ones(len(np.atleast_2d(X)))
@@ -300,6 +273,9 @@ class _Composite(Kernel):
         self.left = left
         self.right = right
 
+    def pairwise(self, A: np.ndarray, B: np.ndarray) -> tuple[Any, Any]:
+        return self.left.pairwise(A, B), self.right.pairwise(A, B)
+
     @property
     def theta(self) -> np.ndarray:
         return np.concatenate([self.left.theta, self.right.theta])
@@ -319,10 +295,8 @@ class _Composite(Kernel):
 class ProductKernel(_Composite):
     """Pointwise product of two kernels."""
 
-    def __call__(
-        self, A: np.ndarray, B: np.ndarray, cache: KernelCache | None = None
-    ) -> np.ndarray:
-        return self.left(A, B, cache) * self.right(A, B, cache)
+    def from_pairwise(self, P: tuple[Any, Any]) -> np.ndarray:
+        return self.left.from_pairwise(P[0]) * self.right.from_pairwise(P[1])
 
     def diag(self, X: np.ndarray) -> np.ndarray:
         return self.left.diag(X) * self.right.diag(X)
@@ -331,72 +305,33 @@ class ProductKernel(_Composite):
 class SumKernel(_Composite):
     """Pointwise sum of two kernels."""
 
-    def __call__(
-        self, A: np.ndarray, B: np.ndarray, cache: KernelCache | None = None
-    ) -> np.ndarray:
-        return self.left(A, B, cache) + self.right(A, B, cache)
+    def from_pairwise(self, P: tuple[Any, Any]) -> np.ndarray:
+        return self.left.from_pairwise(P[0]) + self.right.from_pairwise(P[1])
 
     def diag(self, X: np.ndarray) -> np.ndarray:
         return self.left.diag(X) + self.right.diag(X)
 
 
-class MixedKernel(Kernel):
+def MixedKernel(
+    continuous_dims: Sequence[int],
+    categorical_dims: Sequence[int],
+    continuous_lengthscale: float = 0.5,
+    categorical_lengthscale: float = 1.0,
+) -> Kernel:
     """Matérn-5/2 on continuous dims × Hamming on categorical dims.
 
-    The kernel of mixed-kernel BO (paper §3.2): when either dimension set is
-    empty, it degrades gracefully to the other factor alone.
+    The kernel of mixed-kernel BO (paper §3.2), as a :class:`ProductKernel`
+    of the two factors; when either dimension set is empty, it is the
+    other factor alone.
     """
-
-    def __init__(
-        self,
-        continuous_dims: Sequence[int],
-        categorical_dims: Sequence[int],
-        continuous_lengthscale: float = 0.5,
-        categorical_lengthscale: float = 1.0,
-    ) -> None:
-        self.continuous_dims = np.asarray(continuous_dims, dtype=int)
-        self.categorical_dims = np.asarray(categorical_dims, dtype=int)
-        if len(self.continuous_dims) == 0 and len(self.categorical_dims) == 0:
-            raise ValueError("at least one dimension set must be non-empty")
-        self._matern = Matern52Kernel(continuous_lengthscale, dims=self.continuous_dims)
-        self._hamming = HammingKernel(categorical_lengthscale, dims=self.categorical_dims)
-
-    def __call__(
-        self, A: np.ndarray, B: np.ndarray, cache: KernelCache | None = None
-    ) -> np.ndarray:
-        if len(self.continuous_dims) == 0:
-            return self._hamming(A, B, cache)
-        if len(self.categorical_dims) == 0:
-            return self._matern(A, B, cache)
-        return self._matern(A, B, cache) * self._hamming(A, B, cache)
-
-    def diag(self, X: np.ndarray) -> np.ndarray:
-        return np.ones(len(np.atleast_2d(X)))
-
-    @property
-    def theta(self) -> np.ndarray:
-        parts = []
-        if len(self.continuous_dims) > 0:
-            parts.append(self._matern.theta)
-        if len(self.categorical_dims) > 0:
-            parts.append(self._hamming.theta)
-        return np.concatenate(parts)
-
-    @theta.setter
-    def theta(self, value: np.ndarray) -> None:
-        value = np.asarray(value).ravel()
-        i = 0
-        if len(self.continuous_dims) > 0:
-            self._matern.theta = value[i : i + 1]
-            i += 1
-        if len(self.categorical_dims) > 0:
-            self._hamming.theta = value[i : i + 1]
-
-    @property
-    def bounds(self) -> list[tuple[float, float]]:
-        out: list[tuple[float, float]] = []
-        if len(self.continuous_dims) > 0:
-            out.extend(self._matern.bounds)
-        if len(self.categorical_dims) > 0:
-            out.extend(self._hamming.bounds)
-        return out
+    factors = [
+        factor
+        for factor in (
+            Matern52Kernel(continuous_lengthscale, dims=continuous_dims),
+            HammingKernel(categorical_lengthscale, dims=categorical_dims),
+        )
+        if len(factor.dims) > 0
+    ]
+    if not factors:
+        raise ValueError("at least one dimension set must be non-empty")
+    return factors[0] if len(factors) == 1 else factors[0] * factors[1]

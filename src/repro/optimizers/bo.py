@@ -13,13 +13,12 @@ Both refit the GP from scratch every iteration — a full hyperparameter
 search and a fresh factorization of the whole history — which is the
 cubic algorithm-overhead growth of Figure 9.  Three things remove
 implementation overhead without moving a suggestion (see
-``docs/PERFORMANCE.md``): the GP reuses theta-independent pairwise
-distances across the likelihood evaluations of each hyperparameter fit
-(bit-identical to kernel calls without a
-:class:`~repro.perf.cache.KernelCache`); its search hands L-BFGS-B the
-likelihood and its finite-difference gradient from one call per step and
-factorizes through LAPACK directly (bit-identical to scipy's
-finite-difference code and ``scipy.linalg`` wrappers); and the
+``docs/PERFORMANCE.md``): the GP builds the kernel's theta-independent
+pairwise structure (distances, mismatch counts) once per fit and reuses
+it at every theta of the hyperparameter search; its search hands
+L-BFGS-B the likelihood and its finite-difference gradient from one call
+per step and factorizes through LAPACK directly (bit-identical to
+scipy's finite-difference code and ``scipy.linalg`` wrappers); and the
 candidate pool is snapped to valid encodings with the array-level
 :meth:`ConfigurationSpace.snap_many` (bit-identical to a per-row
 ``decode``/``encode`` loop).
@@ -130,6 +129,4 @@ class MixedKernelBO(_GPBasedBO):
     def _make_kernel(self) -> Kernel:
         cont = np.nonzero(self.space.continuous_mask)[0]
         cat = np.nonzero(self.space.categorical_mask)[0]
-        if len(cat) == 0:
-            return ConstantKernel(1.0) * MixedKernel(cont, [])
         return ConstantKernel(1.0) * MixedKernel(cont, cat)

@@ -64,19 +64,18 @@ def _describe(obj: Any) -> str | None:
     """A process-stable description of an optimizer factory / objective.
 
     Dataclasses (e.g. ``RegistryOptimizerFactory``, the fault injectors)
-    have deterministic reprs; for plain objects we use the class name plus
-    sorted instance attributes, never the default ``repr`` (whose memory
-    address would change every process and silently defeat resume).
+    have deterministic reprs.  Any other object is refused: the reprs of
+    its attributes may embed memory addresses, which would give one spec
+    a different key in every process and silently re-run it on resume.
     """
     if obj is None:
         return None
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return repr(obj)
-    state = getattr(obj, "__dict__", None)
-    if state is not None:
-        inner = ",".join(f"{k}={state[k]!r}" for k in sorted(state))
-        return f"{type(obj).__qualname__}({inner})"
-    return type(obj).__qualname__
+    raise ValueError(
+        f"cannot derive a checkpoint key from a {type(obj).__qualname__}: "
+        "only dataclasses describe themselves the same way in every process"
+    )
 
 
 def _describe_space(space: ConfigurationSpace) -> list[str]:
@@ -102,7 +101,8 @@ def spec_key(spec: RunSpec) -> str:
     factory/instance, the objective, and the warm start.  Deliberately
     excludes ``iteration_hook`` (observers must not affect results, so a
     study resumed with its fault injectors removed still matches) and
-    ``tags`` (display metadata).
+    ``tags`` (display metadata).  Raises ``ValueError`` when the
+    optimizer (or its factory) or the objective is not a dataclass.
     """
     payload = {
         "run_index": spec.run_index,
@@ -125,8 +125,7 @@ def spec_key(spec: RunSpec) -> str:
     if spec.max_simulated_hours is not None:
         payload["max_simulated_hours"] = spec.max_simulated_hours
     if spec.guard is not None:
-        describe = getattr(spec.guard, "describe", None)
-        payload["guard"] = describe() if describe is not None else _describe(spec.guard)
+        payload["guard"] = spec.guard.describe()
     return hashlib.sha256(_dumps(payload).encode("utf-8")).hexdigest()[:20]
 
 

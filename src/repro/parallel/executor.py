@@ -210,14 +210,21 @@ class ParallelExecutor:
         it finishes, so a killed study resumes where it stopped.
         """
         results: dict[int, RunResult] = {}
-        keys = {id(spec): spec_key(spec) for spec in specs}
         checkpoint = (
             StudyCheckpoint(self.checkpoint_path) if self.checkpoint_path else None
         )
+        resume_path = resume_from if resume_from is not None else self.checkpoint_path
+        resuming = resume_path is not None and os.path.exists(resume_path)
+        # Keys are derived only when a checkpoint is read or written, so
+        # specs without a process-stable key still run uncheckpointed.
+        keys = (
+            {id(spec): spec_key(spec) for spec in specs}
+            if checkpoint is not None or resuming
+            else {}
+        )
 
         pending = list(specs)
-        resume_path = resume_from if resume_from is not None else self.checkpoint_path
-        if resume_path is not None and os.path.exists(resume_path):
+        if resuming:
             cache = StudyCheckpoint(resume_path).load()
             pending = []
             for spec in specs:

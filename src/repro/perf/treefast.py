@@ -24,7 +24,7 @@ Machinery shared by :mod:`repro.ml.tree`, :mod:`repro.ml.forest`,
   (``repro_libm_map``), and a CART node's split scan and stable
   partition (``repro_tree_scan``, ``repro_tree_partition``).  Each has
   a numpy or ``math`` twin that runs whenever no C toolchain is
-  available; set ``REPRO_TREEFAST_NATIVE=0`` to force the twins.
+  available.
 
 Everything here is bit-identical to the scalar reference paths by
 construction: stable sort permutations are uniquely determined by the
@@ -443,13 +443,10 @@ def native_kernel() -> ctypes.CDLL | None:
     """The compiled kernels, or ``None`` when unavailable."""
     global _NATIVE_KERNEL
     if _NATIVE_KERNEL is None:
-        if os.environ.get("REPRO_TREEFAST_NATIVE", "1") == "0":
+        try:
+            _NATIVE_KERNEL = _compile_native() or False
+        except OSError:
             _NATIVE_KERNEL = False
-        else:
-            try:
-                _NATIVE_KERNEL = _compile_native() or False
-            except OSError:
-                _NATIVE_KERNEL = False
     return _NATIVE_KERNEL or None
 
 

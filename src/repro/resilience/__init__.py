@@ -28,7 +28,6 @@ recurses back through the guard's heavier dependencies.
 from repro.resilience.taxonomy import (
     CONFIG_INDUCED_KINDS,
     RETRYABLE_KINDS,
-    EvaluationTimeout,
     FailureKind,
     TransientEvaluationError,
     classify_failure_reason,
@@ -39,7 +38,6 @@ _GUARD_EXPORTS = ("GuardedObjective", "GuardPolicy", "QuarantineRegion")
 
 __all__ = [
     "CONFIG_INDUCED_KINDS",
-    "EvaluationTimeout",
     "FailureKind",
     "GuardPolicy",
     "GuardedObjective",

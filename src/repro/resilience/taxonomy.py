@@ -77,10 +77,6 @@ class TransientEvaluationError(RuntimeError):
     """
 
 
-class EvaluationTimeout(RuntimeError):
-    """Raised/recorded when an evaluation exceeds its deadline."""
-
-
 def is_retryable(kind: FailureKind | None) -> bool:
     """Whether the guard's retry policy applies to this failure kind."""
     return kind in RETRYABLE_KINDS

@@ -66,11 +66,12 @@ class TuningSession:
         n_warm = len(warm_start) if warm_start else 0
         self.n_initial = max(0, n_initial - n_warm) if optimizer.uses_lhs_init else 0
         self.seed = seed
-        # Constructor-level per-iteration observer: unlike ``run``'s
-        # ``callback`` argument it can be threaded through code that never
-        # calls ``run`` itself (e.g. a RunSpec's ``iteration_hook``, which
-        # checkpoints progress or injects faults at iteration granularity).
-        # Observers must not mutate the observation or the history.
+        # Per-iteration observer ``(iteration, observation) -> None``,
+        # invoked after every evaluation.  Set at construction, it can be
+        # threaded through code that never calls ``run`` itself (e.g. a
+        # RunSpec's ``iteration_hook``, which checkpoints progress or
+        # injects faults at iteration granularity).  Observers must not
+        # mutate the observation or the history.
         self.on_iteration = on_iteration
         self.history = History(space)
         if warm_start:
@@ -90,12 +91,8 @@ class TuningSession:
         self.history.append(obs)
         self.optimizer.observe(obs)
 
-    def run(self, callback=None) -> History:
-        """Execute the session; returns the populated history.
-
-        ``callback(iteration, observation)``, when given, is invoked after
-        every evaluation (used by incremental knob-selection loops).
-        """
+    def run(self) -> History:
+        """Execute the session; returns the populated history."""
         sampler = LatinHypercubeSampler(self.space, seed=self.seed)
         initial = sampler.sample(self.n_initial) if self.n_initial > 0 else []
         budget_seconds = (
@@ -117,8 +114,6 @@ class TuningSession:
             obs = self.objective(config)
             self._record(obs, suggest_seconds)
             consumed += obs.simulated_seconds
-            if callback is not None:
-                callback(i, obs)
             if self.on_iteration is not None:
                 self.on_iteration(i, obs)
         return self.history

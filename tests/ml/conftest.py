@@ -21,7 +21,8 @@ class TableKernel(Kernel):
     def __init__(self, table: np.ndarray) -> None:
         self.table = table
 
-    def __call__(self, A, B, cache=None):
+    def from_pairwise(self, P):
+        A, B = P
         rows = np.atleast_2d(A)[:, 0].astype(int)
         cols = np.atleast_2d(B)[:, 0].astype(int)
         return self.table[np.ix_(rows, cols)]
@@ -37,8 +38,9 @@ class ShiftedDiagonalKernel(Kernel):
     def __init__(self, shift: float = 1.0) -> None:
         self.shift = shift
 
-    def __call__(self, A, B, cache=None):
-        K = RBFKernel(0.3)(A, B, cache)
+    def from_pairwise(self, P):
+        A, B = P
+        K = RBFKernel(0.3)(A, B)
         return K + (self.shift - 0.05) * np.eye(len(K)) if A is B else K
 
     def diag(self, X):
@@ -60,7 +62,8 @@ class ShiftedDiagonalKernel(Kernel):
 class NegativeKernel(Kernel):
     """``-I`` on a Gram matrix: no jitter the GP tries makes it definite."""
 
-    def __call__(self, A, B, cache=None):
+    def from_pairwise(self, P):
+        A, B = P
         if A is B:
             return -np.eye(len(np.atleast_2d(A)))
         return np.zeros((len(np.atleast_2d(A)), len(np.atleast_2d(B))))

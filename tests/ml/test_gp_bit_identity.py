@@ -25,15 +25,14 @@ from repro.ml.kernels import ConstantKernel, Matern52Kernel, MixedKernel, RBFKer
 from repro.optimizers.base import History, Observation
 from repro.optimizers.bo import MixedKernelBO, VanillaBO
 from repro.optimizers.turbo import TuRBO
-from repro.perf.cache import KernelCache
 
 
 class ReferenceGP(GaussianProcessRegressor):
     """The GP's search, ladder and solves through scipy's wrappers."""
 
-    def _lml(self, X, y, cache=None):
-        n = len(X)
-        K = self.kernel(X, X, cache) + (self.noise + 1e-8) * np.eye(n)
+    def _lml(self, P, y):
+        n = len(y)
+        K = self.kernel.from_pairwise(P) + (self.noise + 1e-8) * np.eye(n)
         try:
             L = linalg.cholesky(K, lower=True)
         except linalg.LinAlgError:
@@ -43,7 +42,7 @@ class ReferenceGP(GaussianProcessRegressor):
             -0.5 * y @ alpha - np.sum(np.log(np.diag(L))) - 0.5 * n * np.log(2.0 * np.pi)
         )
 
-    def _fit_hyperparams(self, X, y, cache=None):
+    def _fit_hyperparams(self, P, y):
         bounds = self.kernel.bounds
         if not bounds:
             return
@@ -56,7 +55,7 @@ class ReferenceGP(GaussianProcessRegressor):
             if hit is not None:
                 return hit
             self.kernel.theta = theta
-            return -self._lml(X, y, cache)
+            return -self._lml(P, y)
 
         best_val = negative_lml(best_theta)
         memo[best_theta.tobytes()] = best_val
@@ -86,11 +85,11 @@ class ReferenceGP(GaussianProcessRegressor):
         else:
             self._y_mean, self._y_std = 0.0, 1.0
         yn = (y - self._y_mean) / self._y_std
-        cache = KernelCache()
+        P = self.kernel.pairwise(X, X)
         if self.optimize_hyperparams:
-            self._fit_hyperparams(X, yn, cache)
+            self._fit_hyperparams(P, yn)
         n = len(X)
-        K = self.kernel(X, X, cache) + (self.noise + 1e-8) * np.eye(n)
+        K = self.kernel.from_pairwise(P) + (self.noise + 1e-8) * np.eye(n)
         jitter = 1e-8
         while True:
             try:
@@ -128,8 +127,8 @@ class _Recording:
         super().__init__(*args, **kwargs)
         self.evaluated = []
 
-    def _lml(self, X, y, cache=None):
-        value = super()._lml(X, y, cache)
+    def _lml(self, P, y):
+        value = super()._lml(P, y)
         self.evaluated.append((self.kernel.theta.tobytes(), value))
         return value
 
@@ -337,9 +336,9 @@ class TestOptimizerIdentity:
         searched = []
 
         class CountingReferenceGP(ReferenceGP):
-            def _fit_hyperparams(self, X, y, cache=None):
-                searched.append(len(X))
-                super()._fit_hyperparams(X, y, cache)
+            def _fit_hyperparams(self, P, y):
+                searched.append(len(y))
+                super()._fit_hyperparams(P, y)
 
         monkeypatch.setattr(module, "GaussianProcessRegressor", CountingReferenceGP)
         reference = _drive(make(space), space, iterations)

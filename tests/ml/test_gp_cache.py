@@ -1,22 +1,26 @@
-"""Distance caching, derived LML, hyperparameter-fit regressions, posterior
-short-circuit — the GP's bit-identical implementation-overhead savings.
+"""The kernels' two-stage protocol, derived LML, hyperparameter-fit
+regressions, posterior short-circuit — the GP's bit-identical
+implementation-overhead savings.
 
-The reference for the distance cache is a kernel call without a
-:class:`KernelCache`; no option of the GP selects it, so the tests
+A fit builds each kernel factor's theta-independent pairwise structure
+of the training rows once and evaluates the covariance from it at every
+theta of the search.  The reference is a fit whose kernel rebuilds the
+structure at every theta; no option of the GP selects it, so the tests
 build it themselves."""
 
 import numpy as np
 import pytest
 
+from repro.ml import kernels
 from repro.ml.gp import GaussianProcessRegressor
 from repro.ml.kernels import (
     ConstantKernel,
     HammingKernel,
+    Kernel,
     Matern52Kernel,
     MixedKernel,
     RBFKernel,
 )
-from repro.perf.cache import KernelCache
 
 
 def _data(seed=0, n=20, d=5):
@@ -26,78 +30,166 @@ def _data(seed=0, n=20, d=5):
     return X, y
 
 
+def _dims(space):
+    return np.nonzero(space.continuous_mask)[0], np.nonzero(space.categorical_mask)[0]
+
+
+#: The kernels of vanilla BO, TuRBO and mixed-kernel BO over a space.
 KERNELS = {
-    "rbf": lambda: ConstantKernel(1.0) * RBFKernel(0.5),
-    "matern": lambda: ConstantKernel(1.0) * Matern52Kernel(0.4),
-    "mixed": lambda: ConstantKernel(1.0) * MixedKernel([0, 1, 2], [3, 4]),
+    "rbf": lambda space: ConstantKernel(1.0) * RBFKernel(0.5),
+    "matern": lambda space: ConstantKernel(1.0) * Matern52Kernel(0.3),
+    "mixed": lambda space: ConstantKernel(1.0) * MixedKernel(*_dims(space)),
 }
 
 
-class TestBitIdentity:
-    @pytest.mark.parametrize("kernel_name", sorted(KERNELS))
-    def test_cached_fit_is_bit_identical(self, kernel_name, monkeypatch):
-        """The cache must not perturb a kernel matrix, the hyperparameter
-        search trajectory, the resulting theta, or predictions — byte for
-        byte against kernel calls that get no cache."""
-        X, y = _data()
-        # A cache filled at one theta serves the next theta's matrix.
-        kernel = KERNELS[kernel_name]()
-        cache = KernelCache()
-        kernel(X, X, cache)
-        kernel.theta = kernel.theta + 0.3
-        cached = kernel(X, X, cache)
-        assert cache.hits > 0
-        assert cached.tobytes() == kernel(X, X).tobytes()
+@pytest.fixture(scope="module")
+def catalog():
+    """``(space, X, y, X_test)``: catalog-encoded rows of the 197-knob space."""
+    from repro.dbms.catalog import mysql_knob_space
 
+    space = mysql_knob_space("B", seed=0)
+    rng = np.random.default_rng(41)
+    X = space.encode_many(space.sample_configurations(24, rng))
+    X_test = space.encode_many(space.sample_configurations(9, rng))
+    y = -np.sum((X - 0.35) ** 2, axis=1) + 0.05 * rng.standard_normal(len(X))
+    return space, X, y, X_test
+
+
+def _structure_bytes(P):
+    """A pairwise structure (arrays, sizes, nested pairs) as comparable bytes."""
+    if isinstance(P, tuple):
+        return tuple(_structure_bytes(part) for part in P)
+    if isinstance(P, np.ndarray):
+        return P.dtype.str, P.shape, P.tobytes()
+    return P
+
+
+class _Rebuilding(Kernel):
+    """``inner`` with its pairwise structure rebuilt at every theta: the
+    first stage keeps the operands, the second calls ``inner`` afresh."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def from_pairwise(self, P):
+        return self.inner(*P)
+
+    def diag(self, X):
+        return self.inner.diag(X)
+
+    @property
+    def theta(self):
+        return self.inner.theta
+
+    @theta.setter
+    def theta(self, value):
+        self.inner.theta = value
+
+    @property
+    def bounds(self):
+        return self.inner.bounds
+
+
+class TestPairwise:
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_structure_is_theta_independent(self, name, catalog):
+        """``pairwise`` gives the same bytes at every theta, and
+        ``from_pairwise`` of a structure built at one theta gives a fresh
+        call's bytes at another."""
+        space, X, _, X_test = catalog
+        kernel = KERNELS[name](space)
+        box = np.array(kernel.bounds)
+        rng = np.random.default_rng(5)
+        thetas = [kernel.theta] + [rng.uniform(box[:, 0], box[:, 1]) for _ in range(4)]
+        for A, B in ((X, X), (X_test, X)):
+            kernel.theta = thetas[0]
+            first = kernel.pairwise(A, B)
+            for theta in thetas:
+                kernel.theta = theta
+                assert _structure_bytes(kernel.pairwise(A, B)) == _structure_bytes(first)
+                fresh = kernel(A, B)
+                assert kernel.from_pairwise(first).tobytes() == fresh.tobytes()
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_fit_matches_per_theta_rebuild(self, name, catalog):
+        """Building the structure once per fit must not perturb the
+        hyperparameter search, the resulting theta, the likelihood or the
+        predictions — byte for byte against a kernel that rebuilds it at
+        every theta.  The restart this seed draws moves every parameter."""
+        space, X, y, X_test = catalog
+        start = KERNELS[name](space).theta
         results = []
-        for reference in (False, True):
-            if reference:
-                monkeypatch.setattr("repro.ml.gp.KernelCache", lambda: None)
-            gp = GaussianProcessRegressor(
-                kernel=KERNELS[kernel_name](), noise=1e-4, n_restarts=1, seed=123
-            )
+        for make in (KERNELS[name], lambda s: _Rebuilding(KERNELS[name](s))):
+            gp = GaussianProcessRegressor(kernel=make(space), noise=1e-4, n_restarts=1, seed=5)
             gp.fit(X, y)
-            mean, std = gp.predict(X[:7] + 0.01, return_std=True)
+            assert np.all(gp.kernel.theta != start)
+            mean, std = gp.predict(X_test, return_std=True)
             results.append(
                 (
                     gp.kernel.theta.tobytes(),
                     gp.log_marginal_likelihood_,
                     mean.tobytes(),
                     std.tobytes(),
+                    gp.sample_posterior(X_test, n_samples=2).tobytes(),
                 )
             )
         assert results[0] == results[1]
 
-    def test_cache_is_actually_used(self):
-        X, y = _data(n=15)
-        cache = KernelCache()
-        kernel = ConstantKernel(1.0) * RBFKernel(0.5)
-        kernel(X, X, cache)
-        assert cache.misses == 1 and cache.hits == 0
-        kernel.theta = kernel.theta + 0.1  # new theta, same distances
-        kernel(X, X, cache)
-        assert cache.misses == 1 and cache.hits == 1
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_structure_built_once_per_factor(self, name, catalog, monkeypatch):
+        """One fit computes each factor's distances or mismatch counts
+        once, however many thetas its search evaluates."""
+        space, X, y, _ = catalog
+        calls = {"_sq_dists": 0, "_mismatch_counts": 0}
+        for fn in calls:
+
+            def counting(A, B, fn=fn, original=getattr(kernels, fn)):
+                calls[fn] += 1
+                return original(A, B)
+
+            monkeypatch.setattr(kernels, fn, counting)
+        evaluated = []
+
+        class CountingGP(GaussianProcessRegressor):
+            def _lml(self, P, y):
+                evaluated.append(self.kernel.theta.tobytes())
+                return super()._lml(P, y)
+
+        gp = CountingGP(kernel=KERNELS[name](space), noise=1e-4, n_restarts=1, seed=5)
+        gp.fit(X, y)
+        assert len(set(evaluated)) > 10
+        builds = {"rbf": (1, 0), "matern": (1, 0), "mixed": (1, 1)}[name]
+        assert (calls["_sq_dists"], calls["_mismatch_counts"]) == builds
 
 
-class TestKernelCache:
-    def test_get_memoizes_by_key(self):
-        cache = KernelCache()
-        calls = []
-
-        def build():
-            calls.append(1)
-            return np.arange(3.0)
-
-        first = cache.get("k", build)
-        second = cache.get("k", build)
-        assert first is second
-        assert len(calls) == 1
-        assert cache.hits == 1 and cache.misses == 1
-        assert len(cache) == 1
-        cache.clear()
-        assert len(cache) == 0
-        cache.get("k", build)
-        assert len(calls) == 2
+class TestMixedKernel:
+    @pytest.mark.parametrize("factors", ["both", "continuous", "categorical"])
+    def test_equals_explicit_factors(self, factors, catalog):
+        """``MixedKernel`` is the Matérn × Hamming product, or the one
+        factor whose dimension set is non-empty: same theta, bounds and
+        matrix bytes, before and after a theta change."""
+        space, X, _, X_test = catalog
+        cont, cat = _dims(space)
+        if factors == "continuous":
+            cat = np.array([], dtype=int)
+        elif factors == "categorical":
+            cont = np.array([], dtype=int)
+        mixed = MixedKernel(cont, cat, 0.7, 2.0)
+        explicit = {
+            "both": lambda: Matern52Kernel(0.7, dims=cont) * HammingKernel(2.0, dims=cat),
+            "continuous": lambda: Matern52Kernel(0.7, dims=cont),
+            "categorical": lambda: HammingKernel(2.0, dims=cat),
+        }[factors]()
+        box = np.array(explicit.bounds)
+        for theta in (explicit.theta, (box[:, 0] + 2.0 * box[:, 1]) / 3.0):
+            mixed.theta = explicit.theta = theta
+            assert mixed.theta.tobytes() == explicit.theta.tobytes()
+            assert mixed.bounds == explicit.bounds
+            assert mixed.diag(X_test).tobytes() == explicit.diag(X_test).tobytes()
+            for A, B in ((X, X), (X_test, X)):
+                assert mixed(A, B).tobytes() == explicit(A, B).tobytes()
 
 
 class TestFitHyperparams:
@@ -111,9 +203,9 @@ class TestFitHyperparams:
                 super().__init__(*args, **kwargs)
                 self.eval_thetas = []
 
-            def _lml(self, X, y, cache=None):
+            def _lml(self, P, y):
                 self.eval_thetas.append(self.kernel.theta.tobytes())
-                return super()._lml(X, y, cache)
+                return super()._lml(P, y)
 
         gp = CountingGP(
             kernel=ConstantKernel(1.0) * RBFKernel(0.5), noise=1e-4, n_restarts=1, seed=0
@@ -156,7 +248,7 @@ class TestFitHyperparams:
         # The stored value comes from the final factorization (which may
         # carry ladder jitter); it must agree with a fresh evaluation at
         # the fitted theta to numerical precision.
-        direct = gp._lml(gp._X, yn)
+        direct = gp._lml(gp.kernel.pairwise(gp._X, gp._X), yn)
         np.testing.assert_allclose(gp.log_marginal_likelihood_, direct, rtol=1e-9, atol=1e-9)
 
 
@@ -190,16 +282,3 @@ class TestSamplePosteriorSinglePoint:
         draws = gp.sample_posterior(X_test, n_samples=3)
         assert draws.shape == (3, 4)
         assert np.all(np.isfinite(draws))
-
-
-class TestHammingCache:
-    def test_hamming_kernel_accepts_cache(self):
-        rng = np.random.default_rng(13)
-        A = rng.integers(0, 3, (10, 4)).astype(float)
-        cache = KernelCache()
-        kernel = HammingKernel()
-        first = kernel(A, A, cache)
-        second = kernel(A, A, cache)
-        np.testing.assert_array_equal(first, second)
-        assert cache.hits >= 1
-        np.testing.assert_array_equal(first, kernel(A, A))

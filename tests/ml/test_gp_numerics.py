@@ -113,8 +113,8 @@ class TestFailurePaths:
         monkeypatch.setattr("repro.ml.gp.optimize.minimize", recording_minimize)
 
         class RecordingGP(GaussianProcessRegressor):
-            def _lml(self, X, y, cache=None):
-                value = super()._lml(X, y, cache)
+            def _lml(self, P, y):
+                value = super()._lml(P, y)
                 self.evaluated.append((self.kernel.theta.copy(), value))
                 return value
 

@@ -72,7 +72,6 @@ def _fit_both(monkeypatch, X, y, **params):
 )
 def test_native_kernel_loads_with_a_compiler(monkeypatch, tmp_path):
     """A fresh compile with this source and these flags must load."""
-    monkeypatch.delenv("REPRO_TREEFAST_NATIVE", raising=False)
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     monkeypatch.setattr(treefast, "_NATIVE_KERNEL", None)
     assert treefast.native_kernel() is not None

@@ -80,6 +80,47 @@ class TestSpecKey:
         assert spec_key(hooked) == base
 
 
+class TestUnkeyableSpecs:
+    """A spec carrying a plain (non-dataclass) objective has no
+    process-stable description: its attributes' reprs embed addresses."""
+
+    @staticmethod
+    def _spec(space):
+        from dataclasses import replace
+
+        from repro.dbms.server import MySQLServer
+        from repro.tuning.objective import DatabaseObjective
+
+        objective = DatabaseObjective(MySQLServer("SYSBENCH", "B", seed=1), space)
+        return replace(_specs(space, n_runs=1)[0], objective=objective)
+
+    def test_key_raises_naming_the_type(self, small_space):
+        with pytest.raises(ValueError, match="DatabaseObjective"):
+            spec_key(self._spec(small_space))
+
+    def test_checkpointed_run_raises_before_any_spec_runs(
+        self, small_space, tmp_path, monkeypatch
+    ):
+        ran = []
+        monkeypatch.setattr(
+            "repro.parallel.executor.execute_run", lambda spec: ran.append(spec)
+        )
+        path = str(tmp_path / "ck.jsonl")
+        with pytest.raises(ValueError, match="DatabaseObjective"):
+            ParallelExecutor(n_workers=1, checkpoint_path=path).run([self._spec(small_space)])
+        assert ran == []
+        assert not os.path.exists(path)
+
+    def test_runs_without_a_checkpoint_without_a_key(self, small_space, monkeypatch):
+        def no_key(spec):
+            raise AssertionError("spec_key called without a checkpoint")
+
+        monkeypatch.setattr("repro.parallel.executor.spec_key", no_key)
+        (result,) = ParallelExecutor(n_workers=1).run([self._spec(small_space)])
+        assert not result.failed
+        assert result.n_iterations == 5
+
+
 class TestResultRoundTrip:
     def test_value_exact(self, small_space):
         result = ParallelExecutor(n_workers=1).run(_specs(small_space, n_runs=1))[0]

@@ -125,8 +125,9 @@ class TestTuningSession:
         session = TuningSession(
             obj, RandomSearch(sysbench_space, seed=0), sysbench_space,
             max_iterations=5, n_initial=0, seed=0,
+            on_iteration=lambda i, o: seen.append(i),
         )
-        session.run(callback=lambda i, o: seen.append(i))
+        session.run()
         assert seen == [0, 1, 2, 3, 4]
 
     def test_warm_start_counts_into_history(self, sysbench_space, sysbench_server):
