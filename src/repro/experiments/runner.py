@@ -33,8 +33,6 @@ def build_session_specs(
     n_initial: int = 10,
     instance: str = "B",
     seed: int = 0,
-    max_simulated_hours: float | None = None,
-    guard=None,
 ) -> list[RunSpec]:
     """One spec per run, with independent per-run seed triples.
 
@@ -42,11 +40,8 @@ def build_session_specs(
     the session's LHS stream are spawned from disjoint ``SeedSequence``
     children — they were previously derived by integer offsets from the
     same root, which made run 0's server and optimizer share the exact
-    seed value and correlate their streams.  ``guard`` (a
-    :class:`repro.resilience.GuardPolicy`) wraps every run's objective in
-    a :class:`~repro.resilience.GuardedObjective` seeded from the run's
-    fourth seed stream; ``max_simulated_hours`` bounds each session's
-    simulated wall-clock alongside its iteration budget.
+    seed value and correlate their streams.  A fourth child seeds the
+    guard of a spec that sets ``RunSpec.guard``.
     """
     seeds = derive_run_seeds(seed, n_runs)
     return [
@@ -61,8 +56,6 @@ def build_session_specs(
             server_seed=seeds[run].server,
             optimizer_seed=seeds[run].optimizer,
             session_seed=seeds[run].session,
-            max_simulated_hours=max_simulated_hours,
-            guard=guard,
             guard_seed=seeds[run].guard,
             tags={
                 "workload": workload,
@@ -89,8 +82,6 @@ def run_sessions(
     n_workers: int = 1,
     telemetry_path: str | None = None,
     checkpoint_path: str | None = None,
-    max_simulated_hours: float | None = None,
-    guard=None,
 ) -> list[History]:
     """Run repeated tuning sessions (fresh server + optimizer per run).
 
@@ -111,8 +102,6 @@ def run_sessions(
         n_initial=n_initial,
         instance=instance,
         seed=seed,
-        max_simulated_hours=max_simulated_hours,
-        guard=guard,
     )
     executor = ParallelExecutor(
         n_workers=n_workers,
@@ -165,25 +154,3 @@ def median_improvement(
         )
         return float("nan")
     return float(np.median(improvements))
-
-
-def median_best_score(histories: list[History]) -> float:
-    """Median of best scores across sessions (maximization scale).
-
-    Failed runs are skipped rather than scored ``-inf``; NaN (plus a
-    warning with the failure count) when no run succeeded.
-    """
-    bests = []
-    for h in histories:
-        try:
-            bests.append(h.best().score)
-        except ValueError:
-            continue
-    if not bests:
-        warnings.warn(
-            f"all {count_failed_runs(histories)} runs failed; median undefined",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return float("nan")
-    return float(np.median(bests))

@@ -10,7 +10,7 @@ footguns that silently corrupt evaluation results.
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.lint.context import FileContext, attribute_chain
 from repro.lint.findings import Finding

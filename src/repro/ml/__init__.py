@@ -4,10 +4,10 @@ The offline environment provides only numpy/scipy, so every model the paper
 relies on (scikit-learn regressors, the fANOVA/SHAP libraries' internals,
 BoTorch GPs, PyTorch networks) is implemented here from first principles:
 
-- :mod:`repro.ml.preprocessing` — scalers and polynomial features,
-- :mod:`repro.ml.metrics` — regression and ranking metrics,
-- :mod:`repro.ml.model_selection` — K-fold CV utilities,
-- :mod:`repro.ml.linear` — OLS / Ridge / coordinate-descent Lasso,
+- :mod:`repro.ml.preprocessing` — standardization and polynomial features,
+- :mod:`repro.ml.metrics` — regression and set-similarity metrics,
+- :mod:`repro.ml.model_selection` — the K-fold splitter,
+- :mod:`repro.ml.linear` — Ridge / coordinate-descent Lasso,
 - :mod:`repro.ml.tree` — CART regression trees,
 - :mod:`repro.ml.forest` — random forests with predictive variance,
 - :mod:`repro.ml.boosting` — gradient-boosted trees,
@@ -27,22 +27,13 @@ from repro.ml.kernels import (
     MixedKernel,
     ProductKernel,
     RBFKernel,
-    SumKernel,
-    WhiteKernel,
 )
-from repro.ml.linear import LassoRegression, LinearRegression, RidgeRegression
-from repro.ml.metrics import (
-    kendall_tau,
-    mean_absolute_error,
-    mean_squared_error,
-    r2_score,
-    root_mean_squared_error,
-    spearman_rho,
-)
-from repro.ml.model_selection import KFold, cross_validate, train_test_split
+from repro.ml.linear import LassoRegression, RidgeRegression
+from repro.ml.metrics import mean_squared_error, r2_score, root_mean_squared_error
+from repro.ml.model_selection import KFold
 from repro.ml.neighbors import KNNRegressor
 from repro.ml.neural import MLP, Adam, DenseLayer
-from repro.ml.preprocessing import MinMaxScaler, PolynomialFeatures, StandardScaler
+from repro.ml.preprocessing import PolynomialFeatures, StandardScaler
 from repro.ml.svm import EpsilonSVR, NuSVR
 from repro.ml.tree import DecisionTreeRegressor
 
@@ -58,10 +49,8 @@ __all__ = [
     "KFold",
     "KNNRegressor",
     "LassoRegression",
-    "LinearRegression",
     "MLP",
     "Matern52Kernel",
-    "MinMaxScaler",
     "MixedKernel",
     "NuSVR",
     "PolynomialFeatures",
@@ -70,14 +59,7 @@ __all__ = [
     "RandomForestRegressor",
     "RidgeRegression",
     "StandardScaler",
-    "SumKernel",
-    "WhiteKernel",
-    "cross_validate",
-    "kendall_tau",
-    "mean_absolute_error",
     "mean_squared_error",
     "r2_score",
     "root_mean_squared_error",
-    "spearman_rho",
-    "train_test_split",
 ]

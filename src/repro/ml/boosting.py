@@ -5,14 +5,13 @@ GB is one of the candidate surrogate regressors in the tuning benchmark
 
 Every boosting round fits a tree on the *same* feature matrix, so the
 per-feature sort orders are computed once and reused by all
-``n_estimators`` rounds (with ``subsample < 1`` the per-round subset
-re-sorts via an integer radix sort of precomputed rank keys).  The
-in-sample predictions that update the boosting residuals come straight
-from the fit-time leaf partition (``tree.train_node_ids_``) instead of
-re-descending each new tree, and ``predict``/``staged_predict`` descend
-the whole ensemble in one packed pass.  The result is byte-identical to
-a loop of :meth:`~repro.ml.tree.DecisionTreeRegressor._fit_scalar` fits
-and per-tree ``predict`` calls (``tests/ml/test_tree_bit_identity.py``).
+``n_estimators`` rounds.  The in-sample predictions that update the
+boosting residuals come straight from the fit-time leaf partition
+(``tree.train_node_ids_``) instead of re-descending each new tree, and
+``predict`` descends the whole ensemble in one packed pass.  The result
+is byte-identical to a loop of
+:meth:`~repro.ml.tree.DecisionTreeRegressor._fit_scalar` fits and
+per-tree ``predict`` calls (``tests/ml/test_tree_bit_identity.py``).
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.tree import DecisionTreeRegressor
-from repro.perf.treefast import PackedTrees, feature_sort_ranks, subset_sort_orders
+from repro.perf.treefast import PackedTrees, feature_sort_ranks
 
 
 class GradientBoostingRegressor:
@@ -32,20 +31,16 @@ class GradientBoostingRegressor:
         learning_rate: float = 0.1,
         max_depth: int = 3,
         min_samples_leaf: int = 1,
-        subsample: float = 1.0,
         seed: int | None = None,
     ) -> None:
         if n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
         if not 0.0 < learning_rate <= 1.0:
             raise ValueError("learning_rate must be in (0, 1]")
-        if not 0.0 < subsample <= 1.0:
-            raise ValueError("subsample must be in (0, 1]")
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
-        self.subsample = subsample
         self.seed = seed
         self.init_: float = 0.0
         self.trees_: list[DecisionTreeRegressor] = []
@@ -63,12 +58,8 @@ class GradientBoostingRegressor:
         self.init_ = float(y.mean())
         current = np.full(n, self.init_)
         self.trees_ = []
-        full_rounds = not self.subsample < 1.0
-        # Sort the feature columns once; every boosting round reuses the
-        # orders (full rounds) or radix-sorts the precomputed rank keys
-        # for its subsample.
-        ranks = feature_sort_ranks(X)
-        shared_order = np.argsort(ranks, axis=1, kind="stable") if full_rounds else None
+        # Sort the feature columns once; every boosting round reuses the orders.
+        shared_order = np.argsort(feature_sort_ranks(X), axis=1, kind="stable")
         for _ in range(self.n_estimators):
             residual = y - current
             tree = DecisionTreeRegressor(
@@ -76,17 +67,11 @@ class GradientBoostingRegressor:
                 min_samples_leaf=self.min_samples_leaf,
                 seed=int(rng.integers(0, 2**31 - 1)),
             )
-            if not full_rounds:
-                m = max(2, int(round(self.subsample * n)))
-                idx = rng.choice(n, size=m, replace=False)
-                tree.fit(X[idx], residual[idx], sort_order=subset_sort_orders(ranks, idx))
-                current += self.learning_rate * tree.predict(X)
-            else:
-                tree.fit(X, residual, sort_order=shared_order)
-                # In-sample prediction == the fit-time leaf partition;
-                # same leaf, same value, no re-descent.
-                assert tree.value is not None and tree.train_node_ids_ is not None
-                current += self.learning_rate * tree.value[tree.train_node_ids_]
+            tree.fit(X, residual, sort_order=shared_order)
+            # In-sample prediction == the fit-time leaf partition; same
+            # leaf, same value, no re-descent.
+            assert tree.value is not None and tree.train_node_ids_ is not None
+            current += self.learning_rate * tree.value[tree.train_node_ids_]
             self.trees_.append(tree)
         self._packed = None
         return self
@@ -111,14 +96,3 @@ class GradientBoostingRegressor:
         for row in self._tree_values(X):
             out += self.learning_rate * row
         return out
-
-    def staged_predict(self, X: np.ndarray) -> np.ndarray:
-        """Predictions after each boosting stage, shape ``(stages, n)``."""
-        self._check_fitted()
-        X = np.asarray(X, dtype=float)
-        out = np.full(len(X), self.init_)
-        stages = np.empty((len(self.trees_), len(X)))
-        for i, row in enumerate(self._tree_values(X)):
-            out = out + self.learning_rate * row
-            stages[i] = out
-        return stages

@@ -36,7 +36,6 @@ class RandomForestRegressor:
         min_samples_split: int = 2,
         min_samples_leaf: int = 1,
         max_features: int | float | str | None = 0.8,
-        bootstrap: bool = True,
         seed: int | None = None,
     ) -> None:
         if n_estimators < 1:
@@ -46,7 +45,6 @@ class RandomForestRegressor:
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
-        self.bootstrap = bootstrap
         self.seed = seed
         self.trees_: list[DecisionTreeRegressor] = []
         self.n_features_: int = 0
@@ -63,9 +61,6 @@ class RandomForestRegressor:
         self.n_features_ = X.shape[1]
         rng = np.random.default_rng(self.seed)
         ranks = feature_sort_ranks(X)
-        # Without bootstrap every tree sees the same rows: one order
-        # matrix serves the whole ensemble.
-        shared_order = None if self.bootstrap else np.argsort(ranks, axis=1, kind="stable")
         self.trees_ = []
         for _ in range(self.n_estimators):
             # Per tree, the seed is drawn before the bootstrap rows.
@@ -76,11 +71,8 @@ class RandomForestRegressor:
                 max_features=self.max_features,
                 seed=int(rng.integers(0, 2**31 - 1)),
             )
-            if self.bootstrap:
-                rows = rng.integers(0, n, size=n)
-                tree.fit(X[rows], y[rows], sort_order=subset_sort_orders(ranks, rows))
-            else:
-                tree.fit(X, y, sort_order=shared_order)
+            rows = rng.integers(0, n, size=n)
+            tree.fit(X[rows], y[rows], sort_order=subset_sort_orders(ranks, rows))
             self.trees_.append(tree)
         self._packed = None
         return self
@@ -125,12 +117,3 @@ class RandomForestRegressor:
         for tree in self.trees_:
             counts += tree.split_counts()
         return counts
-
-    def feature_importances(self) -> np.ndarray:
-        """Mean normalized impurity-decrease importances across trees."""
-        self._check_fitted()
-        imp = np.zeros(self.n_features_)
-        for tree in self.trees_:
-            imp += tree.feature_importances()
-        total = imp.sum()
-        return imp / total if total > 0 else imp

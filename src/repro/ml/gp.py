@@ -34,11 +34,10 @@ factorization of the full history.
 
 from __future__ import annotations
 
-import math
 from typing import Any
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import optimize
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
@@ -283,37 +282,3 @@ class GaussianProcessRegressor:
         """Alias matching the forest surrogate interface."""
         mean, std = self.predict(X, return_std=True)
         return mean, std
-
-    def sample_posterior(
-        self, X: np.ndarray, n_samples: int = 1, rng: np.random.Generator | None = None
-    ) -> np.ndarray:
-        """Draw joint posterior samples at test points, shape ``(s, n)``.
-
-        Without an explicit ``rng`` the draw is deterministic in
-        ``self.seed``: two calls on the same fitted GP return identical
-        samples.  Callers that want fresh draws per call must thread their
-        own generator.
-
-        A single test point short-circuits to a univariate draw: the full
-        ``kernel(X, X)`` test covariance degenerates to the kernel
-        diagonal there, so no test-test covariance matrix is built.
-        """
-        if self._X is None or self._chol is None or self._alpha is None:
-            raise RuntimeError("GP is not fitted")
-        rng = np.random.default_rng(self.seed) if rng is None else rng
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        K_star = self.kernel(X, self._X)
-        mean = K_star @ self._alpha
-        v = _solve_lower(self._chol, K_star.T)
-        if len(X) == 1:
-            var = float(self.kernel.diag(X)[0]) - float(np.sum(v**2)) + 1e-8
-            draws = mean[0] + math.sqrt(max(var, 0.0)) * rng.standard_normal(n_samples)
-            draws = draws[:, None]
-        else:
-            cov = self.kernel(X, X) - v.T @ v
-            cov += 1e-8 * np.eye(len(X))
-            draws = stats.multivariate_normal.rvs(
-                mean=mean, cov=cov, size=n_samples, random_state=rng
-            )
-            draws = np.atleast_2d(draws)
-        return draws * self._y_std + self._y_mean

@@ -12,12 +12,11 @@ box bounds so the GP can maximize marginal likelihood over it.
 A kernel is evaluated in two stages.  ``pairwise(A, B)`` returns what
 the kernel reads of its operands, which never depends on theta: squared
 distances (RBF), distances (Matérn-5/2), mismatch counts (Hamming),
-operand sizes (constant; white noise adds whether the operands are
-equal), a pair of child structures (product and sum), and ``(A, B)`` by
-default.  ``from_pairwise(P)`` returns the covariance matrix at the
-current theta, and ``__call__(A, B)`` is the second stage applied to
-the first.  A GP fit builds the structure of its training rows once and
-reuses it at every theta of its hyperparameter search.
+operand sizes (constant), a pair of child structures (product), and
+``(A, B)`` by default.  ``from_pairwise(P)`` returns the covariance
+matrix at the current theta, and ``__call__(A, B)`` is the second stage
+applied to the first.  A GP fit builds the structure of its training
+rows once and reuses it at every theta of its hyperparameter search.
 
 Two paths skip a large temporary.  ``ConstantKernel.diag`` returns the
 variance vector instead of the diagonal of an n x n ``self(X, X)``, and
@@ -100,9 +99,6 @@ class Kernel:
     def __mul__(self, other: "Kernel") -> "ProductKernel":
         return ProductKernel(self, other)
 
-    def __add__(self, other: "Kernel") -> "SumKernel":
-        return SumKernel(self, other)
-
 
 class ConstantKernel(Kernel):
     """Signal-variance scaling: ``k(x, x') = variance``."""
@@ -132,40 +128,6 @@ class ConstantKernel(Kernel):
     @property
     def bounds(self) -> list[tuple[float, float]]:
         return [_LOG_BOUND]
-
-
-class WhiteKernel(Kernel):
-    """Observation-noise kernel: adds ``noise`` on the diagonal only."""
-
-    def __init__(self, noise: float = 1e-6) -> None:
-        if noise <= 0:
-            raise ValueError("noise must be > 0")
-        self.noise = noise
-
-    def pairwise(self, A: np.ndarray, B: np.ndarray) -> tuple[int, int, bool]:
-        A = np.atleast_2d(A)
-        B = np.atleast_2d(B)
-        same = A is B or (A.shape == B.shape and np.array_equal(A, B))
-        return len(A), len(B), same
-
-    def from_pairwise(self, P: tuple[int, int, bool]) -> np.ndarray:
-        m, n, same = P
-        return self.noise * np.eye(m) if same else np.zeros((m, n))
-
-    def diag(self, X: np.ndarray) -> np.ndarray:
-        return np.full(len(np.atleast_2d(X)), self.noise)
-
-    @property
-    def theta(self) -> np.ndarray:
-        return np.array([math.log(self.noise)])
-
-    @theta.setter
-    def theta(self, value: np.ndarray) -> None:
-        self.noise = float(np.exp(np.asarray(value).ravel()[0]))
-
-    @property
-    def bounds(self) -> list[tuple[float, float]]:
-        return [(math.log(1e-8), math.log(1e-1))]
 
 
 class RBFKernel(Kernel):
@@ -300,16 +262,6 @@ class ProductKernel(_Composite):
 
     def diag(self, X: np.ndarray) -> np.ndarray:
         return self.left.diag(X) * self.right.diag(X)
-
-
-class SumKernel(_Composite):
-    """Pointwise sum of two kernels."""
-
-    def from_pairwise(self, P: tuple[Any, Any]) -> np.ndarray:
-        return self.left.from_pairwise(P[0]) + self.right.from_pairwise(P[1])
-
-    def diag(self, X: np.ndarray) -> np.ndarray:
-        return self.left.diag(X) + self.right.diag(X)
 
 
 def MixedKernel(

@@ -1,4 +1,4 @@
-"""Linear regression models: OLS, Ridge, and coordinate-descent Lasso.
+"""Linear regression models: Ridge and coordinate-descent Lasso.
 
 Lasso (Tibshirani, 1996) is the importance measurement used by OtterTune:
 the L1 penalty drives coefficients of irrelevant knobs to exactly zero.
@@ -9,33 +9,6 @@ algorithm scikit-learn uses.
 from __future__ import annotations
 
 import numpy as np
-
-
-class LinearRegression:
-    """Ordinary least squares via the normal equations (pinv for stability)."""
-
-    def __init__(self, fit_intercept: bool = True) -> None:
-        self.fit_intercept = fit_intercept
-        self.coef_: np.ndarray | None = None
-        self.intercept_: float = 0.0
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "LinearRegression":
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float).ravel()
-        if self.fit_intercept:
-            x_mean, y_mean = X.mean(axis=0), y.mean()
-            Xc, yc = X - x_mean, y - y_mean
-        else:
-            x_mean, y_mean = np.zeros(X.shape[1]), 0.0
-            Xc, yc = X, y
-        self.coef_ = np.linalg.pinv(Xc) @ yc
-        self.intercept_ = float(y_mean - x_mean @ self.coef_)
-        return self
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        if self.coef_ is None:
-            raise RuntimeError("model is not fitted")
-        return np.asarray(X, dtype=float) @ self.coef_ + self.intercept_
 
 
 class RidgeRegression:
@@ -76,7 +49,7 @@ class LassoRegression:
     Minimizes ``(1 / 2n) * ||y - Xw||^2 + alpha * ||w||_1``.  Inputs are
     internally standardized so the penalty treats all features equally;
     coefficients are reported on the standardized scale (what matters for
-    importance ranking) unless ``rescale=True``.
+    importance ranking).
     """
 
     def __init__(
@@ -150,23 +123,3 @@ class LassoRegression:
             raise RuntimeError("model is not fitted")
         Xs = (np.asarray(X, dtype=float) - self._x_mean) / self._x_scale
         return Xs @ self.coef_ + self.intercept_
-
-    def lasso_path(self, X: np.ndarray, y: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-        """Fit along a decreasing alpha path; returns ``(len(alphas), d)`` coefs.
-
-        OtterTune ranks knobs by the order in which their coefficients
-        become non-zero along the regularization path (strongest first).
-        """
-        alphas = np.asarray(alphas, dtype=float)
-        coefs = np.zeros((len(alphas), np.asarray(X).shape[1]))
-        for i, alpha in enumerate(alphas):
-            model = LassoRegression(
-                alpha=float(alpha),
-                max_iter=self.max_iter,
-                tol=self.tol,
-                standardize=self.standardize,
-            )
-            model.fit(X, y)
-            assert model.coef_ is not None
-            coefs[i] = model.coef_
-        return coefs

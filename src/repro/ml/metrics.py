@@ -1,8 +1,7 @@
-"""Regression and ranking metrics.
+"""Regression and set-similarity metrics.
 
 The paper reports R² and RMSE for surrogate quality (Table 9, Figure 4) and
-RGPE's transfer weights are computed from pairwise ranking loss, for which
-the rank-correlation helpers here are also useful.
+the intersection over union of top-k knob sets (Figure 4).
 """
 
 from __future__ import annotations
@@ -31,12 +30,6 @@ def root_mean_squared_error(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     return float(np.sqrt(mean_squared_error(y_true, y_pred)))
 
 
-def mean_absolute_error(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Mean absolute error."""
-    y_true, y_pred = _check_pair(y_true, y_pred)
-    return float(np.mean(np.abs(y_true - y_pred)))
-
-
 def r2_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     """Coefficient of determination R² (Gunst, 1999).
 
@@ -49,50 +42,6 @@ def r2_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     if ss_tot == 0.0:
         return 0.0 if ss_res > 0 else 1.0
     return 1.0 - ss_res / ss_tot
-
-
-def _rank(values: np.ndarray) -> np.ndarray:
-    """Average ranks (1-based) with tie handling."""
-    values = np.asarray(values, dtype=float)
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        avg = 0.5 * (i + j) + 1.0
-        ranks[order[i : j + 1]] = avg
-        i = j + 1
-    return ranks
-
-
-def spearman_rho(a: np.ndarray, b: np.ndarray) -> float:
-    """Spearman rank correlation coefficient."""
-    a, b = _check_pair(a, b)
-    ra, rb = _rank(a), _rank(b)
-    sa, sb = ra.std(), rb.std()
-    if sa == 0.0 or sb == 0.0:
-        return 0.0
-    return float(np.mean((ra - ra.mean()) * (rb - rb.mean())) / (sa * sb))
-
-
-def kendall_tau(a: np.ndarray, b: np.ndarray) -> float:
-    """Kendall tau-a rank correlation (concordant minus discordant pairs)."""
-    a, b = _check_pair(a, b)
-    n = len(a)
-    if n < 2:
-        return 0.0
-    concordant = discordant = 0
-    for i in range(n - 1):
-        da = a[i + 1 :] - a[i]
-        db = b[i + 1 :] - b[i]
-        prod = da * db
-        concordant += int(np.sum(prod > 0))
-        discordant += int(np.sum(prod < 0))
-    total = n * (n - 1) // 2
-    return float((concordant - discordant) / total)
 
 
 def intersection_over_union(a: set, b: set) -> float:

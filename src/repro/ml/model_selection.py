@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator
+from typing import Iterator
 
 import numpy as np
-
-from repro.ml.metrics import r2_score
 
 
 class KFold:
@@ -35,49 +33,3 @@ class KFold:
             train = np.concatenate([indices[:start], indices[start + size :]])
             yield train, test
             start += size
-
-
-def train_test_split(
-    X: np.ndarray,
-    y: np.ndarray,
-    test_fraction: float = 0.2,
-    seed: int | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Shuffle-split into train and test arrays."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must be in (0, 1)")
-    X = np.asarray(X)
-    y = np.asarray(y)
-    n = len(X)
-    if len(y) != n:
-        raise ValueError("X and y length mismatch")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    n_test = max(1, int(round(n * test_fraction)))
-    test_idx, train_idx = order[:n_test], order[n_test:]
-    return X[train_idx], X[test_idx], y[train_idx], y[test_idx]
-
-
-def cross_validate(
-    model_factory: Callable[[], Any],
-    X: np.ndarray,
-    y: np.ndarray,
-    n_splits: int = 10,
-    metric: Callable[[np.ndarray, np.ndarray], float] = r2_score,
-    seed: int | None = None,
-) -> list[float]:
-    """Fit a fresh model per fold and score on the held-out fold.
-
-    ``model_factory`` must return an unfitted object with ``fit(X, y)`` and
-    ``predict(X)`` methods; a new instance is created per fold so folds are
-    independent.
-    """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    scores: list[float] = []
-    for train_idx, test_idx in KFold(n_splits, shuffle=True, seed=seed).split(len(X)):
-        model = model_factory()
-        model.fit(X[train_idx], y[train_idx])
-        pred = np.asarray(model.predict(X[test_idx]), dtype=float).ravel()
-        scores.append(metric(y[test_idx], pred))
-    return scores

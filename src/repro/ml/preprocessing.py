@@ -1,4 +1,4 @@
-"""Feature preprocessing: scalers and polynomial expansion.
+"""Feature preprocessing: standardization and polynomial expansion.
 
 OtterTune's Lasso-based knob ranking augments inputs with second-degree
 polynomial features (paper §4.2); :class:`PolynomialFeatures` reproduces
@@ -43,40 +43,6 @@ class StandardScaler:
 
     def fit_transform(self, X: np.ndarray) -> np.ndarray:
         return self.fit(X).transform(X)
-
-    def inverse_transform(self, X: np.ndarray) -> np.ndarray:
-        if self.mean_ is None or self.scale_ is None:
-            raise RuntimeError("StandardScaler is not fitted")
-        return _as_2d(X) * self.scale_ + self.mean_
-
-
-class MinMaxScaler:
-    """Scale features into ``[0, 1]`` by observed min/max."""
-
-    def __init__(self) -> None:
-        self.min_: np.ndarray | None = None
-        self.range_: np.ndarray | None = None
-
-    def fit(self, X: np.ndarray) -> "MinMaxScaler":
-        X = _as_2d(X)
-        self.min_ = X.min(axis=0)
-        rng = X.max(axis=0) - self.min_
-        rng[rng == 0.0] = 1.0
-        self.range_ = rng
-        return self
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        if self.min_ is None or self.range_ is None:
-            raise RuntimeError("MinMaxScaler is not fitted")
-        return (_as_2d(X) - self.min_) / self.range_
-
-    def fit_transform(self, X: np.ndarray) -> np.ndarray:
-        return self.fit(X).transform(X)
-
-    def inverse_transform(self, X: np.ndarray) -> np.ndarray:
-        if self.min_ is None or self.range_ is None:
-            raise RuntimeError("MinMaxScaler is not fitted")
-        return _as_2d(X) * self.range_ + self.min_
 
 
 class PolynomialFeatures:

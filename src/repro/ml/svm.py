@@ -108,13 +108,6 @@ class EpsilonSVR:
         K = _rbf_kernel(np.asarray(X, dtype=float), self._X, self._gamma_value)
         return K @ self.dual_coef_ + self.intercept_
 
-    @property
-    def n_support_(self) -> int:
-        """Number of support vectors (non-zero dual coefficients)."""
-        if self.dual_coef_ is None:
-            raise RuntimeError("model is not fitted")
-        return int(np.sum(np.abs(self.dual_coef_) > 1e-10))
-
 
 class NuSVR(EpsilonSVR):
     """Nu-parameterized SVR: the tube width adapts to the data.

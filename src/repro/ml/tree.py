@@ -437,17 +437,6 @@ class DecisionTreeRegressor:
                 counts[f] += 1
         return counts
 
-    def feature_importances(self) -> np.ndarray:
-        """Normalized total SSE decrease attributable to each feature."""
-        self._check_fitted()
-        assert self.feature is not None and self.impurity_decrease is not None
-        imp = np.zeros(self.n_features_, dtype=float)
-        for f, dec in zip(self.feature, self.impurity_decrease):
-            if f >= 0:
-                imp[f] += dec
-        total = imp.sum()
-        return imp / total if total > 0 else imp
-
     def leaf_partition(self, bounds: np.ndarray) -> list[tuple[np.ndarray, float]]:
         """Enumerate leaves as (per-feature interval box, leaf value) pairs.
 

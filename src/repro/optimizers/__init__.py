@@ -19,7 +19,7 @@ latency objectives), work over one :class:`~repro.space.ConfigurationSpace`,
 and consume the shared :class:`~repro.optimizers.base.History`.
 """
 
-from repro.optimizers.acquisitions import expected_improvement, probability_of_improvement, ucb
+from repro.optimizers.acquisitions import expected_improvement
 from repro.optimizers.base import History, Observation, Optimizer
 from repro.optimizers.bo import MixedKernelBO, VanillaBO
 from repro.optimizers.ddpg import DDPG, DDPGAgent
@@ -57,6 +57,4 @@ __all__ = [
     "TuRBO",
     "VanillaBO",
     "expected_improvement",
-    "probability_of_improvement",
-    "ucb",
 ]

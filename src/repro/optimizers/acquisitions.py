@@ -21,19 +21,3 @@ def expected_improvement(
         z = np.where(std > 0, improvement / std, 0.0)
     ei = improvement * stats.norm.cdf(z) + std * stats.norm.pdf(z)
     return np.where(std > 0, np.maximum(ei, 0.0), np.maximum(improvement, 0.0))
-
-
-def probability_of_improvement(
-    mean: np.ndarray, std: np.ndarray, best: float, xi: float = 0.0
-) -> np.ndarray:
-    """PI over the incumbent for a maximization problem."""
-    mean = np.asarray(mean, dtype=float)
-    std = np.asarray(std, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(std > 0, (mean - best - xi) / std, np.inf * np.sign(mean - best - xi))
-    return stats.norm.cdf(z)
-
-
-def ucb(mean: np.ndarray, std: np.ndarray, beta: float = 2.0) -> np.ndarray:
-    """Upper confidence bound ``mu + beta * sigma``."""
-    return np.asarray(mean, dtype=float) + beta * np.asarray(std, dtype=float)

@@ -9,7 +9,7 @@ best-so-far trajectories the evaluation figures plot.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 

@@ -20,9 +20,10 @@ class RandomSearch(Optimizer):
 class LHSOptimizer(Optimizer):
     """Stratified sampling: pre-draws LHS batches and replays them.
 
-    Used for initialization batches and for the offline sample pools the
-    knob-selection study and the surrogate benchmark collect (paper §5.1,
-    §8).
+    The registry's ``lhs`` optimizer (``repro tune --optimizer lhs``), a
+    model-free baseline.  Session initialization and the offline sample
+    pools draw from :class:`~repro.space.LatinHypercubeSampler` directly
+    (``TuningSession`` and ``collect_samples``), not through this class.
     """
 
     name = "lhs"

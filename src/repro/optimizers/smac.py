@@ -56,7 +56,6 @@ class SMAC(Optimizer):
             max_features=0.8,
             min_samples_leaf=1,
             min_samples_split=3,
-            bootstrap=True,
             seed=int(self.rng.integers(0, 2**31 - 1)),
         )
         forest.fit(X, y)

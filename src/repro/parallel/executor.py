@@ -23,8 +23,8 @@ Scheduling rules:
   ``worker died:`` and names the exit code.  Failed attempts are retried
   up to ``max_retries`` times after a short deterministic jittered
   backoff, always from the spec's original seeds.
-- ``run(specs, resume_from=...)`` skips any spec whose completed result
-  is already in the checkpoint (matched by content hash, see
+- With a ``checkpoint_path``, ``run`` skips any spec whose completed
+  result is already in the checkpoint (matched by content hash, see
   :func:`repro.parallel.checkpoint.spec_key`), returning the stored
   result unchanged.
 """
@@ -32,7 +32,6 @@ Scheduling rules:
 from __future__ import annotations
 
 import multiprocessing
-import os
 import pickle
 import time
 import traceback
@@ -198,34 +197,25 @@ class ParallelExecutor:
         self.checkpoint_path = checkpoint_path
 
     # ------------------------------------------------------------------
-    def run(
-        self, specs: list[RunSpec], resume_from: str | None = None
-    ) -> list[RunResult]:
+    def run(self, specs: list[RunSpec]) -> list[RunResult]:
         """Execute all specs; results come back in spec order.
 
-        ``resume_from`` (defaulting to ``checkpoint_path``) names a
-        :class:`StudyCheckpoint` file; specs whose completed result it
-        already holds are returned from it without re-execution.  With
-        ``checkpoint_path`` set, every newly completed run is appended as
-        it finishes, so a killed study resumes where it stopped.
+        With ``checkpoint_path`` set, specs whose completed result the
+        :class:`StudyCheckpoint` already holds are returned from it
+        without re-execution, and every newly completed run is appended
+        as it finishes, so a killed study resumes where it stopped.
         """
         results: dict[int, RunResult] = {}
         checkpoint = (
             StudyCheckpoint(self.checkpoint_path) if self.checkpoint_path else None
         )
-        resume_path = resume_from if resume_from is not None else self.checkpoint_path
-        resuming = resume_path is not None and os.path.exists(resume_path)
         # Keys are derived only when a checkpoint is read or written, so
         # specs without a process-stable key still run uncheckpointed.
-        keys = (
-            {id(spec): spec_key(spec) for spec in specs}
-            if checkpoint is not None or resuming
-            else {}
-        )
+        keys = {id(spec): spec_key(spec) for spec in specs} if checkpoint is not None else {}
 
         pending = list(specs)
-        if resuming:
-            cache = StudyCheckpoint(resume_path).load()
+        if checkpoint is not None:
+            cache = checkpoint.load()
             pending = []
             for spec in specs:
                 record = cache.get(keys[id(spec)])

@@ -10,7 +10,7 @@ Machinery shared by :mod:`repro.ml.tree`, :mod:`repro.ml.forest`,
   order down via stable partitions.  Ensembles go further:
   :func:`feature_sort_ranks` compresses each feature column into dense
   integer ranks *once per dataset*, after which the sorted order of any
-  row subset (a bootstrap resample, a subsample) comes from a radix sort
+  row subset (a bootstrap resample) comes from a radix sort
   of small integers (:func:`subset_sort_orders`) — no float comparisons
   ever repeat across the forest's trees or the GBM's boosting rounds.
 - **Packed prediction.**  :class:`PackedTrees` concatenates an

@@ -16,6 +16,7 @@ import numpy as np
 from repro.dbms.server import MySQLServer
 from repro.space import Configuration, ConfigurationSpace
 from repro.space.sampling import LatinHypercubeSampler
+from repro.tuning.objective import DatabaseObjective
 
 
 @dataclass
@@ -89,9 +90,11 @@ def collect_samples(
 ) -> tuple[list[Configuration], np.ndarray, float]:
     """LHS sample pool for knob selection / surrogate training (paper §5.1).
 
-    Failed configurations are kept with the worst successful score
-    (mirroring the session clamping rule).  Returns (configs, scores,
-    default score); scores are maximization targets.
+    Failed configurations are kept with the worst successful score, or,
+    when nothing succeeded, with the session's failure fallback
+    (:meth:`DatabaseObjective.failure_fallback_score`), mirroring the
+    session clamping rule.  Returns (configs, scores, default score);
+    scores are maximization targets.
     """
     sampler = LatinHypercubeSampler(space, seed=seed)
     configs = sampler.sample(n_samples)
@@ -107,7 +110,11 @@ def collect_samples(
         raw.append(float("nan") if result.failed else sign * result.objective)
     scores = np.array(raw)
     success_scores = scores[~np.isnan(scores)]
-    worst = float(success_scores.min()) if len(success_scores) else default_score / 3.0
+    worst = (
+        float(success_scores.min())
+        if len(success_scores)
+        else DatabaseObjective(server, space).failure_fallback_score()
+    )
     scores = np.where(np.isnan(scores), worst, scores)
     if include_default:
         configs = configs + [space.default_configuration()]

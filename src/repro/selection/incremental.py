@@ -22,28 +22,11 @@ import numpy as np
 
 from repro.optimizers.base import History, Observation, Optimizer
 from repro.selection.gini import GiniImportance
-from repro.space import Configuration, ConfigurationSpace
+from repro.space import ConfigurationSpace
 from repro.tuning.objective import DatabaseObjective
-from repro.tuning.session import TuningSession
+from repro.tuning.session import TuningSession, project_observation
 
 OptimizerFactory = Callable[[ConfigurationSpace, int], Optimizer]
-
-
-def _project(obs: Observation, space: ConfigurationSpace) -> Observation:
-    """Re-project an observation onto a (sub)space, defaulting new knobs."""
-    values = {}
-    for knob in space.knobs:
-        values[knob.name] = obs.config[knob.name] if knob.name in obs.config else knob.default
-    return Observation(
-        config=Configuration(values),
-        objective=obs.objective,
-        score=obs.score,
-        failed=obs.failed,
-        failure_reason=obs.failure_reason,
-        metrics=obs.metrics,
-        suggest_seconds=obs.suggest_seconds,
-        simulated_seconds=obs.simulated_seconds,
-    )
 
 
 class IncrementalTuner:
@@ -90,7 +73,7 @@ class IncrementalTuner:
                 raise ValueError("base_space is required")
             objective = self.objective_factory(space)
             optimizer = self.optimizer_factory(space, phase)
-            warm = [_project(o, space) for o in merged]
+            warm = [project_observation(o, space) for o in merged]
             budget = min(self.step_iterations, total_iterations - done)
             session = TuningSession(
                 objective,
@@ -109,7 +92,7 @@ class IncrementalTuner:
             full_space = space
         out = History(full_space)
         for obs in merged:
-            out.append(_project(obs, full_space))
+            out.append(project_observation(obs, full_space))
         return out
 
 
@@ -156,7 +139,7 @@ class DecrementalTuner:
         while done < total_iterations:
             objective = self.objective_factory(space)
             optimizer = self.optimizer_factory(space, phase)
-            warm = [_project(o, space) for o in merged]
+            warm = [project_observation(o, space) for o in merged]
             budget = min(self.step_iterations, total_iterations - done)
             session = TuningSession(
                 objective,
@@ -172,10 +155,10 @@ class DecrementalTuner:
             done += budget
             phase += 1
             if len(names) > self.final_knobs and done < total_iterations:
-                projected = [_project(o, space) for o in merged]
+                projected = [project_observation(o, space) for o in merged]
                 names = self._rerank(space, projected)
                 space = self.base_space.subspace(names, seed=self.seed)
         out = History(space)
         for obs in merged:
-            out.append(_project(obs, space))
+            out.append(project_observation(obs, space))
         return out

@@ -54,10 +54,6 @@ class Knob:
         """Draw a uniformly random native value."""
         return self.from_unit(float(rng.random()))
 
-    def clip(self, value: Any) -> Any:
-        """Clamp a native value into the knob's legal domain."""
-        raise NotImplementedError
-
     def validate(self, value: Any) -> bool:
         """Return True when ``value`` lies in the knob's legal domain."""
         raise NotImplementedError
@@ -101,9 +97,6 @@ class ContinuousKnob(Knob):
             lo, hi = math.log(self.lower), math.log(self.upper)
             return math.exp(lo + u * (hi - lo))
         return self.lower + u * (self.upper - self.lower)
-
-    def clip(self, value: float) -> float:
-        return min(max(float(value), self.lower), self.upper)
 
     def validate(self, value: Any) -> bool:
         try:
@@ -153,9 +146,6 @@ class IntegerKnob(Knob):
         else:
             raw = self.lower + u * (self.upper - self.lower)
         return int(min(max(round(raw), self.lower), self.upper))
-
-    def clip(self, value: int) -> int:
-        return int(min(max(int(value), self.lower), self.upper))
 
     def validate(self, value: Any) -> bool:
         if isinstance(value, bool):
@@ -213,9 +203,6 @@ class CategoricalKnob(Knob):
         u = min(max(float(u), 0.0), 1.0)
         i = min(int(u * len(self.choices)), len(self.choices) - 1)
         return self.choices[i]
-
-    def clip(self, value: Any) -> Any:
-        return value if value in self._index else self.default
 
     def validate(self, value: Any) -> bool:
         return value in self._index

@@ -4,8 +4,8 @@ A :class:`ConfigurationSpace` is an ordered collection of knobs.  It provides
 
 - encode/decode between native :class:`Configuration` objects and unit
   vectors in ``[0, 1]^d`` (the representation optimizers work in),
-- one-hot encoding for models that need explicit categorical expansion
-  (Lasso, linear surrogates),
+- one-hot encoding for Lasso's knob ranking, which needs explicit
+  categorical expansion,
 - subspacing (knob selection produces a subspace of the full space),
 - neighbourhood generation for SMAC-style local search.
 
@@ -291,13 +291,6 @@ class ConfigurationSpace:
     def __getitem__(self, name: str) -> Knob:
         return self._by_name[name]
 
-    def index_of(self, name: str) -> int:
-        """Return the dimension index of a knob."""
-        for i, knob in enumerate(self._knobs):
-            if knob.name == name:
-                return i
-        raise KeyError(name)
-
     # ------------------------------------------------------------------
     # masks used by mixed-kernel models
     # ------------------------------------------------------------------
@@ -360,13 +353,6 @@ class ConfigurationSpace:
         """
         return self._codec.snap(self._rows(vectors))
 
-    def one_hot_dims(self) -> int:
-        """Dimensionality of the one-hot encoding."""
-        total = 0
-        for knob in self._knobs:
-            total += knob.n_choices if isinstance(knob, CategoricalKnob) else 1
-        return total
-
     def one_hot_encode(self, config: Mapping[str, Any]) -> np.ndarray:
         """Encode with explicit one-hot expansion of categorical knobs.
 
@@ -385,16 +371,6 @@ class ConfigurationSpace:
 
     def one_hot_encode_many(self, configs: Sequence[Mapping[str, Any]]) -> np.ndarray:
         return np.array([self.one_hot_encode(c) for c in configs], dtype=float)
-
-    def one_hot_feature_names(self) -> list[str]:
-        """Names of the one-hot encoded features, aligned with the encoding."""
-        names: list[str] = []
-        for knob in self._knobs:
-            if isinstance(knob, CategoricalKnob):
-                names.extend(f"{knob.name}={c}" for c in knob.choices)
-            else:
-                names.append(knob.name)
-        return names
 
     # ------------------------------------------------------------------
     # configurations
@@ -426,10 +402,6 @@ class ConfigurationSpace:
         if set(config) != set(self._by_name):
             return False
         return all(k.validate(config[k.name]) for k in self._knobs)
-
-    def clip(self, config: Mapping[str, Any]) -> Configuration:
-        """Clamp each knob value into its legal domain."""
-        return Configuration({k.name: k.clip(config[k.name]) for k in self._knobs})
 
     def complete(self, partial: Mapping[str, Any]) -> Configuration:
         """Extend a partial assignment with defaults for missing knobs."""

@@ -12,15 +12,9 @@ offline (configuration, performance) pool:
 """
 
 from repro.surrogate.benchmark import SurrogateBenchmark
-from repro.surrogate.metric_model import (
-    MetricAwareSurrogateObjective,
-    MetricSurrogate,
-)
 from repro.surrogate.models import SURROGATE_MODEL_REGISTRY, compare_surrogate_models
 
 __all__ = [
-    "MetricAwareSurrogateObjective",
-    "MetricSurrogate",
     "SURROGATE_MODEL_REGISTRY",
     "SurrogateBenchmark",
     "compare_surrogate_models",

@@ -17,7 +17,7 @@ histories with their internal-metric signatures.
 """
 
 from repro.transfer.finetune import fine_tuned_ddpg, pretrain_ddpg
-from repro.transfer.mapping import MappedOptimizer, workload_distance
+from repro.transfer.mapping import MappedOptimizer
 from repro.transfer.repository import SourceTask, TransferRepository
 from repro.transfer.rgpe import RGPEMixedKernelBO, RGPESMAC, RGPESurrogate, ranking_loss
 
@@ -31,5 +31,4 @@ __all__ = [
     "fine_tuned_ddpg",
     "pretrain_ddpg",
     "ranking_loss",
-    "workload_distance",
 ]

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import copy
 
-import numpy as np
-
 from repro.dbms.server import MySQLServer
 from repro.optimizers.ddpg import DDPG, DDPGAgent
 from repro.space import ConfigurationSpace

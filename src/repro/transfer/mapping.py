@@ -96,12 +96,3 @@ class MappedOptimizer(Optimizer):
 
     def observe(self, observation: Observation) -> None:
         self.base.observe(observation)
-
-
-def workload_distance(history_a: History, history_b: History) -> float:
-    """Euclidean distance between mean metric signatures of two tasks."""
-    a = mean_metric_signature(history_a)
-    b = mean_metric_signature(history_b)
-    if a.size == 0 or b.size == 0:
-        return float("inf")
-    return float(np.linalg.norm(a - b))

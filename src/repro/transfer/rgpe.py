@@ -27,7 +27,6 @@ import numpy as np
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.gp import GaussianProcessRegressor
 from repro.ml.kernels import ConstantKernel, MixedKernel
-from repro.optimizers.base import History
 from repro.optimizers.bo import MixedKernelBO
 from repro.optimizers.smac import SMAC
 from repro.transfer.repository import TransferRepository
@@ -185,7 +184,6 @@ class RGPESMAC(_RGPEMixin, SMAC):
             n_estimators=self.n_trees if optimize else max(8, self.n_trees // 2),
             max_features=0.8,
             min_samples_split=3,
-            bootstrap=True,
             seed=int(self.rng.integers(0, 2**31 - 1)),
         )
         forest.fit(X, y)

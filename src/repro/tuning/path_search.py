@@ -13,8 +13,7 @@ the strongest end-to-end design.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from repro.dbms.catalog import mysql_knob_space
 from repro.dbms.server import MySQLServer
 from repro.optimizers.base import History, Observation
 from repro.tuning.objective import DatabaseObjective
-from repro.tuning.session import TuningSession
+from repro.tuning.session import TuningSession, project_observation
 
 
 @dataclass(frozen=True)
@@ -129,15 +128,6 @@ class PathSearch:
         server = MySQLServer(self.workload, self.instance, seed=self.seed + offset)
         objective = DatabaseObjective(server, space)
         optimizer = OPTIMIZER_REGISTRY[path.optimizer](space, seed=self.seed)
-        projected = [
-            Observation(
-                config=space.complete({k: o.config[k] for k in space.names if k in o.config}),
-                objective=o.objective,
-                score=o.score,
-                failed=o.failed,
-            )
-            for o in warm
-        ]
         return TuningSession(
             objective,
             optimizer,
@@ -145,7 +135,7 @@ class PathSearch:
             max_iterations=budget,
             n_initial=10 if not warm else 0,
             seed=self.seed,
-            warm_start=projected,
+            warm_start=[project_observation(o, space) for o in warm],
         )
 
     def run(self) -> list[PathResult]:

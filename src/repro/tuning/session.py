@@ -10,6 +10,7 @@ the scaling problem", §4.1).  Per-iteration suggest wall-time is recorded
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import Protocol
 
 from repro.optimizers.base import History, Observation, Optimizer
@@ -25,6 +26,17 @@ class Objective(Protocol):
     def failure_fallback_score(self) -> float: ...
 
     def default_score(self) -> float: ...
+
+
+def project_observation(obs: Observation, space: ConfigurationSpace) -> Observation:
+    """``obs`` re-projected onto ``space`` for a warm start.
+
+    The config keeps the knobs of ``space`` it has and takes defaults for
+    the rest; every other field (failure kind, attempts, metrics,
+    simulated seconds) is kept.
+    """
+    partial = {name: obs.config[name] for name in space.names if name in obs.config}
+    return replace(obs, config=space.complete(partial))
 
 
 class TuningSession:

@@ -7,7 +7,6 @@ from repro.dbms.catalog import mysql_knob_space
 from repro.experiments.runner import (
     build_session_specs,
     count_failed_runs,
-    median_best_score,
     median_improvement,
     run_sessions,
 )
@@ -81,11 +80,6 @@ class TestRunSessions:
             assert len({spec.server_seed, spec.optimizer_seed, spec.session_seed}) == 3
         assert len({s.server_seed for s in specs}) == 3
 
-    def test_median_best_score_handles_empty(self, small_space):
-        empty = History(small_space)
-        with pytest.warns(RuntimeWarning, match="all 1 runs failed"):
-            assert np.isnan(median_best_score([empty]))
-
     def test_failed_runs_skipped_not_minus_inf(self, small_space):
         ok = History(small_space)
         ok.append(
@@ -103,24 +97,10 @@ class TestRunSessions:
             )
         )
         # the failed run no longer injects -inf and drags the median down
-        assert median_best_score([ok, dead]) == 7.0
+        assert median_improvement([ok, dead], "SYSBENCH") == median_improvement([ok], "SYSBENCH")
         assert count_failed_runs([ok, dead]) == 1
 
     def test_median_improvement_all_failed_is_nan(self, small_space):
         dead = History(small_space)
         with pytest.warns(RuntimeWarning, match="failed"):
             assert np.isnan(median_improvement([dead], "SYSBENCH"))
-
-    def test_median_best_score(self, small_space):
-        histories = []
-        for value in (1.0, 5.0, 3.0):
-            h = History(small_space)
-            h.append(
-                Observation(
-                    config=small_space.default_configuration(),
-                    objective=value,
-                    score=value,
-                )
-            )
-            histories.append(h)
-        assert median_best_score(histories) == 3.0

@@ -38,20 +38,10 @@ class TestBoostingVsForest:
         pred = forest.predict(X)
         assert np.mean((pred > 0.5) == (y > 0.5)) > 0.95
 
-    def test_staged_predictions_converge_to_final(self):
-        rng = np.random.default_rng(3)
-        X = rng.random((100, 2))
-        y = X.sum(axis=1)
-        gb = GradientBoostingRegressor(n_estimators=20, seed=0).fit(X, y)
-        stages = gb.staged_predict(X)
-        np.testing.assert_allclose(stages[-1], gb.predict(X))
-
     def test_unfitted_raises(self):
         gb = GradientBoostingRegressor()
         with pytest.raises(RuntimeError):
             gb.predict(np.ones((1, 2)))
-        with pytest.raises(RuntimeError):
-            gb.staged_predict(np.ones((1, 2)))
 
 
 class TestTreeStructureInvariants:

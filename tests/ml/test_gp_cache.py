@@ -1,6 +1,5 @@
-"""The kernels' two-stage protocol, derived LML, hyperparameter-fit
-regressions, posterior short-circuit — the GP's bit-identical
-implementation-overhead savings.
+"""The kernels' two-stage protocol, derived LML and hyperparameter-fit
+regressions — the GP's bit-identical implementation-overhead savings.
 
 A fit builds each kernel factor's theta-independent pairwise structure
 of the training rows once and evaluates the covariance from it at every
@@ -132,7 +131,6 @@ class TestBitIdentity:
                     gp.log_marginal_likelihood_,
                     mean.tobytes(),
                     std.tobytes(),
-                    gp.sample_posterior(X_test, n_samples=2).tobytes(),
                 )
             )
         assert results[0] == results[1]
@@ -250,35 +248,3 @@ class TestFitHyperparams:
         # the fitted theta to numerical precision.
         direct = gp._lml(gp.kernel.pairwise(gp._X, gp._X), yn)
         np.testing.assert_allclose(gp.log_marginal_likelihood_, direct, rtol=1e-9, atol=1e-9)
-
-
-class TestSamplePosteriorSinglePoint:
-    def _fitted(self, seed=21):
-        X, y = _data(seed=seed, n=18, d=3)
-        gp = GaussianProcessRegressor(
-            kernel=ConstantKernel(1.0) * RBFKernel(0.5), noise=1e-4, n_restarts=0, seed=seed
-        )
-        return gp.fit(X, y)
-
-    def test_shape_and_determinism(self):
-        gp = self._fitted()
-        x = np.full((1, 3), 0.3)
-        draws = gp.sample_posterior(x, n_samples=6)
-        assert draws.shape == (6, 1)
-        np.testing.assert_array_equal(draws, gp.sample_posterior(x, n_samples=6))
-
-    def test_consistent_with_posterior_moments(self):
-        gp = self._fitted()
-        x = np.full((1, 3), 0.6)
-        rng = np.random.default_rng(77)
-        draws = gp.sample_posterior(x, n_samples=4000, rng=rng).ravel()
-        mean, std = gp.predict(x, return_std=True)
-        assert abs(draws.mean() - mean[0]) < 5.0 * std[0] / np.sqrt(4000) + 1e-6
-        assert draws.std() < 3.0 * std[0] + 1e-6
-
-    def test_multi_point_path_unchanged(self):
-        gp = self._fitted()
-        X_test = np.linspace(0.1, 0.9, 12).reshape(4, 3)
-        draws = gp.sample_posterior(X_test, n_samples=3)
-        assert draws.shape == (3, 4)
-        assert np.all(np.isfinite(draws))

@@ -11,8 +11,6 @@ from repro.ml.kernels import (
     Matern52Kernel,
     MixedKernel,
     RBFKernel,
-    SumKernel,
-    WhiteKernel,
     _mismatch_counts,
 )
 
@@ -62,31 +60,17 @@ class TestKernels:
             MixedKernel([], [])
 
     def test_composite_theta_roundtrip(self):
-        k = ConstantKernel(2.0) * RBFKernel(0.3) + WhiteKernel(1e-4)
+        k = ConstantKernel(2.0) * RBFKernel(0.3) * HammingKernel(1.0)
         theta = k.theta
         assert len(theta) == len(k.bounds) == 3
         k.theta = theta + 0.1
         np.testing.assert_allclose(k.theta, theta + 0.1)
-
-    def test_white_kernel_only_on_diagonal(self):
-        k = WhiteKernel(0.5)
-        X = np.random.default_rng(0).random((3, 2))
-        Y = np.random.default_rng(1).random((4, 2))
-        np.testing.assert_allclose(k(X, X), 0.5 * np.eye(3))
-        np.testing.assert_allclose(k(X, Y), 0.0)
-
-    def test_sum_kernel(self):
-        X = np.random.default_rng(0).random((3, 2))
-        s = SumKernel(RBFKernel(0.5), ConstantKernel(2.0))
-        np.testing.assert_allclose(s(X, X), RBFKernel(0.5)(X, X) + 2.0)
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             RBFKernel(0.0)
         with pytest.raises(ValueError):
             ConstantKernel(-1.0)
-        with pytest.raises(ValueError):
-            WhiteKernel(0.0)
 
 
 DIAG_KERNELS = {
@@ -95,7 +79,6 @@ DIAG_KERNELS = {
     "constant*rbf": lambda: ConstantKernel(2.5) * RBFKernel(0.5),
     "constant*mixed": lambda: ConstantKernel(0.8) * MixedKernel([0, 1], [2, 3]),
     "constant*matern": lambda: ConstantKernel(1.7) * Matern52Kernel(0.3),
-    "constant+white": lambda: ConstantKernel(0.6) + WhiteKernel(1e-3),
 }
 
 
@@ -176,14 +159,6 @@ class TestGaussianProcess:
         gp = GaussianProcessRegressor(noise=1e-6, optimize_hyperparams=False).fit(X, y)
         pred = gp.predict(X)
         assert np.abs(pred - y).max() / 1e6 < 0.01
-
-    def test_posterior_samples_shape(self):
-        rng = np.random.default_rng(3)
-        X = rng.random((10, 2))
-        y = X.sum(axis=1)
-        gp = GaussianProcessRegressor(optimize_hyperparams=False).fit(X, y)
-        draws = gp.sample_posterior(rng.random((6, 2)), n_samples=3, rng=rng)
-        assert draws.shape == (3, 6)
 
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):

@@ -6,7 +6,7 @@ from scipy import optimize
 from scipy.linalg import LinAlgError
 
 from repro.ml.gp import GaussianProcessRegressor
-from repro.ml.kernels import ConstantKernel, HammingKernel, RBFKernel, WhiteKernel
+from repro.ml.kernels import ConstantKernel, HammingKernel, RBFKernel
 
 
 class TestCholeskyRobustness:
@@ -36,19 +36,6 @@ class TestCholeskyRobustness:
         )
         gp.fit(X, y)
         assert np.isfinite(gp.predict(X)).all()
-
-    def test_white_kernel_composition(self):
-        rng = np.random.default_rng(1)
-        X = rng.random((30, 2))
-        y = X[:, 0] + rng.normal(0, 0.1, 30)
-        kernel = ConstantKernel(1.0) * RBFKernel(0.5) + WhiteKernel(1e-2)
-        gp = GaussianProcessRegressor(kernel=kernel, noise=0.0, optimize_hyperparams=False)
-        gp.fit(X, y)
-        # At *new* points the white-noise variance keeps the posterior std
-        # strictly positive even arbitrarily close to training data.
-        near = np.clip(X + 1e-4, 0.0, 1.0)
-        __, std = gp.predict(near, return_std=True)
-        assert (std > 1e-2).all()  # ~sqrt(noise) floor
 
     def test_pure_hamming_gp_on_categorical_grid(self):
         """GP over a purely categorical (unit-coded) space."""

@@ -1,4 +1,4 @@
-"""Tests for regression and ranking metrics."""
+"""Tests for regression and set-similarity metrics."""
 
 import numpy as np
 import pytest
@@ -7,12 +7,9 @@ from hypothesis import strategies as st
 
 from repro.ml.metrics import (
     intersection_over_union,
-    kendall_tau,
-    mean_absolute_error,
     mean_squared_error,
     r2_score,
     root_mean_squared_error,
-    spearman_rho,
 )
 
 
@@ -21,7 +18,6 @@ class TestRegressionMetrics:
         y = np.array([1.0, 2.0, 3.0])
         assert mean_squared_error(y, y) == 0.0
         assert r2_score(y, y) == 1.0
-        assert mean_absolute_error(y, y) == 0.0
 
     def test_r2_of_mean_predictor_is_zero(self):
         y = np.array([1.0, 2.0, 3.0, 4.0])
@@ -56,36 +52,6 @@ class TestRegressionMetrics:
         y = np.array(values)
         pred = y[::-1].copy()
         assert mean_squared_error(y, pred) >= 0.0
-
-
-class TestRankMetrics:
-    def test_spearman_perfect(self):
-        a = np.array([1.0, 2.0, 3.0, 4.0])
-        assert spearman_rho(a, 10 * a) == pytest.approx(1.0)
-        assert spearman_rho(a, -a) == pytest.approx(-1.0)
-
-    def test_spearman_constant_input(self):
-        assert spearman_rho(np.ones(4), np.arange(4)) == 0.0
-
-    def test_spearman_handles_ties(self):
-        a = np.array([1.0, 1.0, 2.0])
-        b = np.array([1.0, 1.0, 3.0])
-        assert spearman_rho(a, b) == pytest.approx(1.0)
-
-    def test_kendall_perfect_and_reversed(self):
-        a = np.arange(6).astype(float)
-        assert kendall_tau(a, a) == pytest.approx(1.0)
-        assert kendall_tau(a, -a) == pytest.approx(-1.0)
-
-    def test_kendall_short_input(self):
-        assert kendall_tau([1.0], [2.0]) == 0.0
-
-    @given(st.lists(st.floats(-100, 100), min_size=3, max_size=20, unique=True))
-    @settings(max_examples=30, deadline=None)
-    def test_kendall_antisymmetry(self, values):
-        a = np.array(values)
-        b = np.arange(len(values)).astype(float)
-        assert kendall_tau(a, b) == pytest.approx(-kendall_tau(-a, b))
 
 
 class TestIoU:

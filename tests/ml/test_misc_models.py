@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ml.metrics import r2_score
-from repro.ml.model_selection import KFold, cross_validate, train_test_split
+from repro.ml.model_selection import KFold
 from repro.ml.neighbors import KNNRegressor
 from repro.ml.neural import MLP, Adam, DenseLayer
 from repro.ml.svm import EpsilonSVR, NuSVR
@@ -53,7 +53,8 @@ class TestSVR:
         y = X.ravel()
         tight = EpsilonSVR(C=10.0, epsilon=0.001).fit(X, y)
         loose = EpsilonSVR(C=10.0, epsilon=0.5).fit(X, y)
-        assert loose.n_support_ <= tight.n_support_
+        n_support = [np.count_nonzero(np.abs(m.dual_coef_) > 1e-10) for m in (loose, tight)]
+        assert n_support[0] <= n_support[1]
 
     def test_nusvr_adapts_tube(self):
         rng = np.random.default_rng(2)
@@ -87,21 +88,6 @@ class TestModelSelection:
             list(KFold(5).split(3))
         with pytest.raises(ValueError):
             KFold(1)
-
-    def test_train_test_split(self):
-        X = np.arange(40).reshape(20, 2)
-        y = np.arange(20)
-        Xtr, Xte, ytr, yte = train_test_split(X, y, test_fraction=0.25, seed=0)
-        assert len(Xte) == 5 and len(Xtr) == 15
-        assert set(yte).isdisjoint(ytr)
-
-    def test_cross_validate_scores(self, small_regression_data):
-        X, y = small_regression_data
-        from repro.ml.linear import LinearRegression
-
-        scores = cross_validate(LinearRegression, X, y, n_splits=5, seed=0)
-        assert len(scores) == 5
-        assert np.mean(scores) > 0.5
 
 
 class TestNeural:

@@ -15,13 +15,11 @@ from repro.ml import (
     GradientBoostingRegressor,
     KNNRegressor,
     LassoRegression,
-    LinearRegression,
     RandomForestRegressor,
     RidgeRegression,
 )
 
 MODELS = {
-    "ols": lambda: LinearRegression(),
     "ridge": lambda: RidgeRegression(alpha=1.0),
     "lasso": lambda: LassoRegression(alpha=0.01),
     "rf": lambda: RandomForestRegressor(n_estimators=5, seed=0),

@@ -9,8 +9,8 @@ instead.  Every output must be the same bytes either way:
 
 - every tree array of single trees and forests over sizes from 2 to
   1,200 rows, ties, NaN and infinities in features and labels, labels
-  offset by 1e8, ``min_samples_leaf`` 1-4, every ``max_features`` mode
-  and bootstrap on and off;
+  offset by 1e8, ``min_samples_leaf`` 1-4 and every ``max_features``
+  mode;
 - the codec's log map over more than a million inputs, including the
   IEEE special values, and every log column of the MySQL catalog;
 - the exception a malformed ``sort_order`` raises under each engine.
@@ -149,13 +149,12 @@ def test_label_totals_beyond_pow_range_behave_as_numpy(native, monkeypatch, scal
     assert outcomes[0] == outcomes[1]
 
 
-@pytest.mark.parametrize("bootstrap", [True, False])
-def test_forest_engines_agree(native, monkeypatch, bootstrap):
+def test_forest_engines_agree(native, monkeypatch):
     rng = np.random.default_rng(11)
     X = rng.random((90, 12))
     X[:, 3] = np.round(X[:, 3], 1)
     y = np.sin(4 * X[:, 0]) + X[:, 1] + 0.1 * rng.standard_normal(90)
-    params = dict(n_estimators=8, max_features=0.8, bootstrap=bootstrap, seed=4)
+    params = dict(n_estimators=8, max_features=0.8, seed=4)
     fast = RandomForestRegressor(**params).fit(X, y)
     with monkeypatch.context() as patch:
         _numpy_engine(patch)

@@ -270,7 +270,6 @@ class TestLargeOffsetCentering:
 def _reference_forest_trees(X, y, forest: RandomForestRegressor) -> list:
     """Per-tree ``_fit_scalar`` fits on bootstrap rows drawn in the
     forest's order: per tree, its seed and then its rows."""
-    assert forest.bootstrap
     rng = np.random.default_rng(forest.seed)
     trees = []
     for _ in range(forest.n_estimators):
@@ -317,11 +316,7 @@ def _reference_gbm_trees(X, y, gbm: GradientBoostingRegressor) -> list:
             min_samples_leaf=gbm.min_samples_leaf,
             seed=int(rng.integers(0, 2**31 - 1)),
         )
-        if gbm.subsample < 1.0:
-            idx = rng.choice(n, size=max(2, int(round(gbm.subsample * n))), replace=False)
-            tree = _scalar_tree(X[idx], residual[idx], **params)
-        else:
-            tree = _scalar_tree(X, residual, **params)
+        tree = _scalar_tree(X, residual, **params)
         current += gbm.learning_rate * tree.predict(X)
         trees.append(tree)
     return trees
@@ -353,23 +348,17 @@ class TestEnsembleIdentity:
         assert s1.tobytes() == s2.tobytes()
         assert forest.predict(X_test).tobytes() == ref.predict(X_test).tobytes()
 
-    @pytest.mark.parametrize("subsample", [1.0, 0.6])
-    def test_gbm_bit_identity(self, forest_data, subsample):
+    def test_gbm_bit_identity(self, forest_data):
         X, y = forest_data
-        gbm = GradientBoostingRegressor(
-            n_estimators=25, max_depth=3, subsample=subsample, seed=4
-        ).fit(X, y)
+        gbm = GradientBoostingRegressor(n_estimators=25, max_depth=3, seed=4).fit(X, y)
         ref_trees = _reference_gbm_trees(X, y, gbm)
         for a, b in zip(gbm.trees_, ref_trees, strict=True):
             _assert_trees_identical(a, b)
         X_test = np.random.default_rng(8).random((120, 7))
-        stages = np.empty((len(ref_trees), len(X_test)))
         out = np.full(len(X_test), float(y.mean()))
-        for i, tree in enumerate(ref_trees):
+        for tree in ref_trees:
             out = out + gbm.learning_rate * tree.predict(X_test)
-            stages[i] = out
         assert gbm.predict(X_test).tobytes() == out.tobytes()
-        assert gbm.staged_predict(X_test).tobytes() == stages.tobytes()
 
     def test_numpy_engine_matches_native(self, forest_data, monkeypatch):
         X, y = forest_data

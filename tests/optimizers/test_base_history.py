@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.optimizers.acquisitions import (
-    expected_improvement,
-    probability_of_improvement,
-    ucb,
-)
+from repro.optimizers.acquisitions import expected_improvement
 from repro.optimizers.base import History, Observation
 from repro.space import Configuration
 
@@ -103,12 +99,3 @@ class TestAcquisitions:
         stds = np.array([0.1, 1.0, 5.0])
         ei = expected_improvement(np.zeros(3), stds, best=1.0)
         assert ei[0] < ei[1] < ei[2]
-
-    def test_pi_bounds(self):
-        pi = probability_of_improvement(np.array([0.0, 10.0]), np.array([1.0, 1.0]), best=5.0)
-        assert 0.0 <= pi[0] < 0.5 < pi[1] <= 1.0
-
-    def test_ucb(self):
-        np.testing.assert_allclose(
-            ucb(np.array([1.0]), np.array([0.5]), beta=2.0), [2.0]
-        )

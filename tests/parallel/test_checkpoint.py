@@ -200,16 +200,6 @@ class TestResume:
         assert attempt_records(records) == []
         assert len(records) == 4
 
-    def test_explicit_resume_from_without_write_path(self, small_space, tmp_path):
-        path = str(tmp_path / "ck.jsonl")
-        ParallelExecutor(n_workers=1, checkpoint_path=path).run(_specs(small_space))
-        size_before = os.path.getsize(path)
-        results = ParallelExecutor(n_workers=1).run(
-            _specs(small_space), resume_from=path
-        )
-        assert not any(r.failed for r in results)
-        assert os.path.getsize(path) == size_before  # read-only resume
-
     def test_kill_and_resume_equivalence(self, small_space, tmp_path):
         """Acceptance criterion: interrupt, resume, compare byte-for-byte.
 

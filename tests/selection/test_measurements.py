@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.dbms.server import MySQLServer, StressTestResult
+from repro.resilience.taxonomy import FailureKind
 from repro.selection import MEASUREMENT_REGISTRY
 from repro.selection.base import ImportanceResult, collect_samples
+from repro.tuning.objective import DatabaseObjective
 from repro.selection.fanova import tree_fanova_importances
 from repro.ml.tree import DecisionTreeRegressor
 
@@ -21,6 +24,19 @@ REAL_KNOBS = {
 TRAP_KNOBS = {"max_connections", "query_cache_type", "query_cache_size", "general_log", "big_tables"}
 #: Inert filler knobs.
 FILLER_KNOBS = {"ft_min_word_len", "default_week_format", "net_retry_count"}
+
+
+class _CrashingServer(MySQLServer):
+    """A server whose every stress test crashes."""
+
+    def evaluate(self, config):
+        return StressTestResult(
+            configuration=self.full_space.complete(config),
+            objective=float("nan"),
+            failed=True,
+            failure_reason="mysqld killed",
+            failure_kind=FailureKind.CRASH,
+        )
 
 
 class TestImportanceResult:
@@ -49,6 +65,26 @@ class TestCollectSamples:
         __, scores, default_score = collect_samples(server, mysql_space, 30, seed=3)
         assert default_score < 0  # negated latency
         assert (scores < 0).all()
+
+    def test_all_crash_latency_pool_scores_failures_below_default(self, mysql_space):
+        # With no success to clamp to, failures take a session's fallback:
+        # three times the default latency, so worse than the default.
+        __, scores, default_score = collect_samples(
+            _CrashingServer("JOB", "B", seed=3), mysql_space, 6, seed=3
+        )
+        fallback = DatabaseObjective(
+            MySQLServer("JOB", "B", seed=3), mysql_space
+        ).failure_fallback_score()
+        assert fallback == pytest.approx(3.0 * default_score)
+        assert (scores[:-1] == fallback).all()
+        assert (scores[:-1] < default_score).all()
+
+    def test_all_crash_throughput_pool_keeps_a_third_of_the_default(self, mysql_space):
+        __, scores, default_score = collect_samples(
+            _CrashingServer("SYSBENCH", "B", seed=3), mysql_space, 6, seed=3
+        )
+        assert (scores[:-1] == default_score / 3.0).all()
+        assert (scores[:-1] < default_score).all()
 
 
 @pytest.mark.parametrize("name", ["gini", "fanova", "shap", "ablation", "lasso"])

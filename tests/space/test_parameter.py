@@ -24,8 +24,6 @@ class TestContinuousKnob:
 
     def test_clip_and_validate(self):
         knob = ContinuousKnob("x", 0.0, 10.0, 5.0)
-        assert knob.clip(42.0) == 10.0
-        assert knob.clip(-1.0) == 0.0
         assert knob.validate(3.3)
         assert not knob.validate(10.5)
         assert not knob.validate("nope")
@@ -112,11 +110,6 @@ class TestCategoricalKnob:
             knob.choice_index("z")
         assert knob.validate("a")
         assert not knob.validate("z")
-
-    def test_clip_replaces_invalid_with_default(self):
-        knob = CategoricalKnob("m", ["a", "b"], "b")
-        assert knob.clip("z") == "b"
-        assert knob.clip("a") == "a"
 
     def test_unit_encoding_is_bin_midpoint(self):
         knob = CategoricalKnob("m", ["a", "b"], "a")

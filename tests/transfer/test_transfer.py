@@ -17,7 +17,6 @@ from repro.transfer import (
     pretrain_ddpg,
     ranking_loss,
 )
-from repro.transfer.mapping import workload_distance
 from repro.transfer.repository import mean_metric_signature
 from repro.transfer.rgpe import compute_rgpe_weights
 from repro.tuning import DatabaseObjective, TuningSession
@@ -63,12 +62,6 @@ class TestRepository:
             __, y = task.training_data()
             assert abs(y.mean()) < 1e-9
             assert y.std() == pytest.approx(1.0, abs=1e-6)
-
-    def test_workload_distance_symmetry(self, sysbench_space):
-        a = _make_history(sysbench_space, "SEATS", seed=1)
-        b = _make_history(sysbench_space, "Voter", seed=2)
-        assert workload_distance(a, b) == pytest.approx(workload_distance(b, a))
-        assert workload_distance(a, a) == 0.0
 
 
 class TestRankingLoss:

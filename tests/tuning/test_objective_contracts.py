@@ -5,7 +5,7 @@ import pytest
 
 from repro.dbms.server import MySQLServer
 from repro.space import Configuration
-from repro.surrogate import MetricAwareSurrogateObjective, SurrogateBenchmark
+from repro.surrogate import SurrogateBenchmark
 from repro.tuning import DatabaseObjective
 
 
@@ -37,12 +37,6 @@ class TestObjectiveContracts:
     def test_surrogate_objective(self, sysbench_space):
         bench = SurrogateBenchmark.build("SYSBENCH", sysbench_space, n_samples=60, seed=0)
         _check_objective_contract(bench.objective(), sysbench_space)
-
-    def test_metric_aware_objective(self, sysbench_space):
-        objective = MetricAwareSurrogateObjective.build(
-            "SYSBENCH", sysbench_space, n_samples=80, seed=0
-        )
-        _check_objective_contract(objective, sysbench_space)
 
     def test_database_objective_keeps_the_configuration(self, sysbench_space):
         objective = DatabaseObjective(MySQLServer("SYSBENCH", "B", seed=0), sysbench_space)

@@ -58,6 +58,17 @@ class TestPathSearch:
         search.run()
         assert set(search._rankings) == {"gini"}  # computed once, reused
 
+    def test_round_two_warm_observations_keep_their_fields(self):
+        search = PathSearch("Voter", pool_samples=60, seed=1)
+        first = search._make_session(TuningPath("gini", 5, "random"), 4, []).run()
+        second = search._make_session(TuningPath("gini", 10, "random"), 2, first.observations)
+        warm = second.history.observations
+        assert len(warm) == 4
+        assert all(o.simulated_seconds > 0 for o in warm)
+        assert [o.simulated_seconds for o in warm] == [o.simulated_seconds for o in first]
+        assert [o.metrics for o in warm] == [o.metrics for o in first]
+        assert [o.failure_kind for o in warm] == [o.failure_kind for o in first]
+
     def test_path_str(self):
         assert str(TuningPath("shap", 20, "smac")) == "shap/top-20/smac"
 
