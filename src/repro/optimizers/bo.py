@@ -19,12 +19,16 @@ it at every theta of the hyperparameter search; its search hands
 L-BFGS-B the likelihood and its finite-difference gradient from one call
 per step and factorizes through LAPACK directly (bit-identical to
 scipy's finite-difference code and ``scipy.linalg`` wrappers); and the
-candidate pool is snapped to valid encodings with the array-level
-:meth:`ConfigurationSpace.snap_many` (bit-identical to a per-row
-``decode``/``encode`` loop).
+candidate pool is built in one array -- the quasi-random design in its
+head, each anchor's perturbations written in place below it, the
+anchors encoded by one ``encode_many`` -- and snapped to valid
+encodings with the array-level :meth:`ConfigurationSpace.snap_many`
+(bit-identical to a per-row ``decode``/``encode`` loop).
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -70,30 +74,36 @@ class _GPBasedBO(Optimizer):
         gp.fit(X, y)
         return gp
 
+    @cached_property
+    def _categorical(self) -> np.ndarray:
+        """The space's categorical mask, read once per optimizer."""
+        return self.space.categorical_mask
+
     def _candidate_pool(self, history: History) -> np.ndarray:
         """Quasi-random global candidates plus local perturbations of the
         best configurations, snapped to valid encodings."""
-        d = self.space.n_dims
-        pool = [scrambled_sobol_like(self.n_candidates, d, self.rng)]
-        succ = sorted(history.successful(), key=lambda o: o.score, reverse=True)
-        if succ:
-            anchors = [self.space.encode(o.config) for o in succ[:4]]
-            per_anchor = max(1, self.n_local_candidates // len(anchors))
-            for anchor in anchors:
-                local = anchor[None, :] + self.rng.normal(0.0, self.local_stdev, (per_anchor, d))
-                # Categorical dims move by re-draw, not by Gaussian walk.
-                cat = self.space.categorical_mask
-                if cat.any():
-                    redraw = self.rng.random((per_anchor, d)) < 0.25
-                    redraw &= cat[None, :]
-                    local = np.where(redraw, self.rng.random((per_anchor, d)), local)
-                    local[:, cat] = np.where(
-                        redraw[:, cat], local[:, cat], np.broadcast_to(anchor[cat], (per_anchor, int(cat.sum())))
-                    )
-                pool.append(np.clip(local, 0.0, 1.0))
-        cands = np.vstack(pool)
+        d, n = self.space.n_dims, self.n_candidates
+        design = scrambled_sobol_like(n, d, self.rng)
+        succ = sorted(history.successful(), key=lambda o: o.score, reverse=True)[:4]
+        if not succ:
+            return self.space.snap_many(design)
+        anchors = self.space.encode_many([o.config for o in succ])
+        per_anchor = max(1, self.n_local_candidates // len(anchors))
+        pool = np.empty((n + len(anchors) * per_anchor, d))
+        pool[:n] = design
+        local = pool[n:]
+        cat = self._categorical
+        for anchor, block in zip(anchors, local.reshape(len(anchors), per_anchor, d)):
+            np.add(anchor, self.rng.normal(0.0, self.local_stdev, (per_anchor, d)), out=block)
+            # Categorical dims move by re-draw, not by Gaussian walk.
+            if cat.any():
+                redraw = self.rng.random((per_anchor, d)) < 0.25
+                redraw &= cat
+                np.copyto(block, anchor, where=cat)
+                np.copyto(block, self.rng.random((per_anchor, d)), where=redraw)
+        np.clip(local, 0.0, 1.0, out=local)
         # Snap so integer/categorical dims are exact.
-        return self.space.snap_many(cands)
+        return self.space.snap_many(pool)
 
     def suggest(self, history: History) -> Configuration:
         succ = history.successful()

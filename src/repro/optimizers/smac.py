@@ -11,9 +11,11 @@ which is why SMAC dominates the paper's large-space results (Table 7).
 Candidates are scored as unit rows and only the one kept becomes a
 :class:`Configuration`: the random challengers are one uniform draw
 snapped with :meth:`ConfigurationSpace.snap_many`, and each local-search
-step scores the rows of :meth:`ConfigurationSpace.neighbors`.  Both
-consume the optimizer's RNG stream exactly as sampling and encoding
-configurations one by one would, so suggestions are unchanged.
+step scores a sample of at most 80 rows of
+:meth:`ConfigurationSpace.neighbors`, built by ``rows_at`` for the
+sampled neighbours only.  Both consume the optimizer's RNG stream
+exactly as sampling and encoding configurations one by one would, so
+suggestions are unchanged.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ class SMAC(Optimizer):
                 idx = np.arange(len(neighbors))
                 if len(neighbors) > 80:
                     idx = self.rng.choice(len(neighbors), size=80, replace=False)
-                eis = self._ei_of(forest, neighbors.rows[idx], best)
+                eis = self._ei_of(forest, neighbors.rows_at(idx), best)
                 j = int(np.argmax(eis))
                 if eis[j] <= current_ei:
                     break

@@ -21,7 +21,8 @@ Machinery shared by :mod:`repro.ml.tree`, :mod:`repro.ml.forest`,
   by :func:`native_kernel`, holds the loops that a Python or numpy
   formulation pays for per element or per call: the packed descent,
   the codec's ``exp``/``log`` over its log columns
-  (``repro_libm_map``), and a CART node's split scan and stable
+  (``repro_libm_map``), the codec's whole snap of a candidate matrix
+  (``repro_codec_snap``), and a CART node's split scan and stable
   partition (``repro_tree_scan``, ``repro_tree_partition``).  Each has
   a numpy or ``math`` twin that runs whenever no C toolchain is
   available.
@@ -169,6 +170,70 @@ int64_t repro_libm_map(int64_t op, const double *in, double *out, int64_t n)
             out[i] = log(x);
         } else {
             return i;
+        }
+    }
+    return -1;
+}
+
+/* ---- Codec snap ------------------------------------------------------
+ * The codec's snap, to_unit(from_unit(u)) for numeric columns and
+ * units(indices(u)) for categorical ones, over n row-major rows of d
+ * unit positions, one column at a time from the codec's table.  Each
+ * step is the numpy group's, in its order: clamp, affine map, libm exp,
+ * rint + 0.0 and clamp, trunc + 0.0, clamp, libm log, affine map back.
+ * One clamp serves every column: Python's min/max rule, which the
+ * linear continuous group uses (the value wins a tie, NaN passes).
+ * np.clip, which the other groups use (the bound wins a tie, NaN
+ * passes), differs from it only where a signed zero ties a bound, and
+ * in those groups such a tie cannot reach an output.  Returns -1, or
+ * the index of the first cell the numpy groups must snap instead,
+ * because numpy's cast of a NaN choice position warns or math.exp /
+ * math.log would raise there. */
+enum { SNAP_LOG = 1, SNAP_INTEGER = 2, SNAP_CATEGORICAL = 4 };
+
+typedef struct {
+    int64_t kind;  /* SNAP_* flags; 0 is linear continuous */
+    int64_t n;     /* choices of a categorical column */
+    double base, span, lower, upper;
+} snap_col;
+
+static double clamp(double x, double lo, double hi)
+{
+    x = lo > x ? lo : x;
+    return hi < x ? hi : x;
+}
+
+int64_t repro_codec_snap(const snap_col *cols, int64_t d, const double *in, double *out,
+                         int64_t n)
+{
+    for (int64_t i = 0; i < n * d; i += d) {
+        for (int64_t j = 0; j < d; j++) {
+            const snap_col *c = cols + j;
+            double v = clamp(in[i + j], 0.0, 1.0);
+            if (c->kind == SNAP_CATEGORICAL) {
+                if (isnan(v))
+                    return i + j;
+                int64_t k = (int64_t)(v * (double)c->n);
+                k = k < c->n - 1 ? k : c->n - 1;
+                out[i + j] = ((double)k + 0.5) / (double)c->n;
+                continue;
+            }
+            v = c->base + v * c->span;
+            if (c->kind & SNAP_LOG) {
+                double r = exp(v);
+                if (isinf(r) && isfinite(v))
+                    return i + j;
+                v = r;
+            }
+            if (c->kind & SNAP_INTEGER)
+                v = trunc(clamp(rint(v) + 0.0, c->lower, c->upper)) + 0.0;
+            v = clamp(v, c->lower, c->upper);
+            if ((c->kind & SNAP_LOG) && !isnan(v) && v != INFINITY) {
+                if (!(v > 0.0))
+                    return i + j;
+                v = log(v);
+            }
+            out[i + j] = (v - c->base) / c->span;
         }
     }
     return -1;
@@ -429,6 +494,7 @@ def _compile_native() -> ctypes.CDLL | None:
     signatures = {
         "repro_forest_apply": (None, [f64, i, i, i64, i64, f64, i64, i64, i, i64]),
         "repro_libm_map": (i, [i, ptr, ptr, i]),
+        "repro_codec_snap": (i, [ptr, i, ptr, ptr, i]),
         "repro_tree_spread": (i, [ptr, i, i]),
         "repro_tree_scan": (i, [ptr, i, i, ptr, i, i, dbl]),
         "repro_tree_partition": (i, [ptr, i, i, i, dbl, i]),

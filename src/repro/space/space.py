@@ -21,9 +21,18 @@ libm's ``exp``/``log`` -- what ``math.exp``/``math.log`` call -- over
 the block because numpy's vectorized ``exp``/``log`` differ from libm in
 the last bit on some inputs.  That map runs as a C loop in
 :mod:`repro.perf.treefast`'s native kernel when one is loaded, and as
-``math`` calls otherwise.
+``math`` calls otherwise.  The native kernel also snaps a whole matrix
+in one pass (``repro_codec_snap``), column by column from a table the
+codec builds on its first snap, with the groups' operations in their
+order; the groups remain its twin where no kernel is loaded and on the
+inputs the C loop hands back (a NaN choice position, or a value on which
+``math`` would raise).
 Decoded values are Python-native (``int``, ``float``, the choice object),
 so configurations hash and compare as the scalar path's do.
+
+A neighbourhood (:class:`Neighbors`) keeps the base row and one moved
+cell per neighbour; SMAC's local search scores a sample of at most 80
+neighbours, so only the rows it asks for are built.
 """
 
 from __future__ import annotations
@@ -65,6 +74,20 @@ def _rows_of(names: list[str], mappings: list[Mapping[str, Any]]) -> list[tuple]
 
 #: The native map's operation code of each ``math`` function.
 _LIBM_OPS = {math.exp: 0, math.log: 1}
+
+#: A column of the native snap's table (``snap_col`` in the C source),
+#: and the flags its ``kind`` combines; 0 is linear continuous.
+_SNAP_COL = np.dtype(
+    [
+        ("kind", np.int64),
+        ("n", np.int64),
+        ("base", float),
+        ("span", float),
+        ("lower", float),
+        ("upper", float),
+    ]
+)
+_SNAP_LOG, _SNAP_INTEGER, _SNAP_CATEGORICAL = 1, 2, 4
 
 
 def _libm(fn: Callable[[float], float], block: np.ndarray) -> np.ndarray:
@@ -197,7 +220,36 @@ class _Codec:
         names = self.names
         return [Configuration(dict(zip(names, row))) for row in self.values(U).tolist()]
 
+    @cached_property
+    def _snap_table(self) -> np.ndarray:
+        """Each column's kind and parameters, as the native snap reads them."""
+        table = np.zeros(len(self.names), dtype=_SNAP_COL)
+        for g in self.numeric:
+            table["kind"][g.cols] = _SNAP_LOG * g.log + _SNAP_INTEGER * g.integer
+            for field in ("base", "span", "lower", "upper"):
+                table[field][g.cols] = getattr(g, field)
+        cat = self.categorical
+        if cat is not None:
+            table["kind"][cat.cols] = _SNAP_CATEGORICAL
+            table["n"][cat.cols] = cat.n
+        return table
+
     def snap(self, U: np.ndarray) -> np.ndarray:
+        """``to_unit(from_unit(u))`` of numeric columns and
+        ``units(indices(u))`` of categorical ones: one native pass, or
+        the groups where no kernel is loaded or the kernel hands ``U``
+        back."""
+        lib = native_kernel()
+        if lib is not None:
+            src = np.ascontiguousarray(U, dtype=float)
+            table = self._snap_table
+            if src.ndim != 2 or src.shape[1] != len(table):
+                raise ValueError(f"expected rows of {len(table)} unit positions, got {src.shape}")
+            out = np.empty(src.shape)
+            if lib.repro_codec_snap(
+                table.ctypes.data, src.shape[1], src.ctypes.data, out.ctypes.data, len(src)
+            ) < 0:
+                return out
         out = np.empty(U.shape)
         for g in self.numeric:
             out[:, g.cols] = g.to_unit(g.from_unit(U[:, g.cols]))
@@ -230,23 +282,48 @@ class _Codec:
 
 @dataclass(eq=False)
 class Neighbors:
-    """One-exchange neighbours of a base configuration, as unit rows.
+    """One-exchange neighbours of a base configuration.
 
-    Row ``i`` of :attr:`rows` is the encoding of neighbour ``i``: the base
-    configuration with knob ``names[i]`` set to ``values[i]``.
+    Neighbour ``i`` is the base configuration with knob ``names[i]`` set
+    to ``values[i]``.  Its encoding is the base configuration's unit row
+    :attr:`row` with column ``cols[i]`` set to ``units[i]``; rows are
+    built only for the neighbours asked for (:meth:`rows_at`).
     """
 
     base: dict[str, Any]
-    rows: np.ndarray
-    names: list[str]
-    values: list[Any]
+    row: np.ndarray
+    cols: np.ndarray
+    units: np.ndarray
+    #: Each neighbour's native value (an object array).
+    moved: np.ndarray
+    #: The space's knob names, indexed by column.
+    knob_names: list[str]
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.cols)
+
+    def rows_at(self, idx: np.ndarray) -> np.ndarray:
+        """The encodings of neighbours ``idx``, one row each."""
+        rows = np.repeat(self.row[None, :], len(idx), axis=0)
+        rows[np.arange(len(idx)), self.cols[idx]] = self.units[idx]
+        return rows
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Every neighbour's encoding, in order."""
+        return self.rows_at(np.arange(len(self)))
+
+    @property
+    def names(self) -> list[str]:
+        return [self.knob_names[c] for c in self.cols]
+
+    @property
+    def values(self) -> list[Any]:
+        return self.moved.tolist()
 
     def configuration(self, i: int) -> Configuration:
         """Neighbour ``i`` as a configuration."""
-        return Configuration({**self.base, self.names[i]: self.values[i]})
+        return Configuration({**self.base, self.knob_names[self.cols[i]]: self.moved[i]})
 
 
 class ConfigurationSpace:
@@ -465,11 +542,14 @@ class ConfigurationSpace:
             moved.append(cat.table[r, i])
         # Knob order; a knob's moves keep their draw or choice order.
         order = np.argsort(np.concatenate(cols), kind="stable")
-        col = np.concatenate(cols)[order]
-        rows = np.repeat(row[None, :], len(col), axis=0)
-        rows[np.arange(len(col)), col] = np.concatenate(units)[order]
-        names = [codec.names[c] for c in col]
-        return Neighbors(base, rows, names, np.concatenate(moved)[order].tolist())
+        return Neighbors(
+            base,
+            row,
+            np.concatenate(cols)[order],
+            np.concatenate(units)[order],
+            np.concatenate(moved)[order],
+            codec.names,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ConfigurationSpace(n_dims={self.n_dims})"

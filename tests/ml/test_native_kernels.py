@@ -13,21 +13,34 @@ instead.  Every output must be the same bytes either way:
   mode;
 - the codec's log map over more than a million inputs, including the
   IEEE special values, and every log column of the MySQL catalog;
+- the codec's one-pass snap, with its warnings, on matrices full of
+  special values, on the catalog, on its numeric knobs alone and on
+  knobs whose bounds are signed zeros;
 - the exception a malformed ``sort_order`` raises under each engine.
+
+Short SMAC, BO and TuRBO sessions on the 197-knob catalog run every
+kernel together, and must leave the same history under either engine.
 """
 
 import math
 import shutil
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
 
 from repro.dbms.catalog import mysql_knob_space
+from repro.dbms.server import MySQLServer
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.tree import DecisionTreeRegressor
+from repro.optimizers import OPTIMIZER_REGISTRY
+from repro.parallel import history_fingerprint
 from repro.perf import treefast
+from repro.space import CategoricalKnob, ConfigurationSpace, ContinuousKnob, IntegerKnob
 from repro.space import space as space_module
+from repro.tuning.objective import DatabaseObjective
+from repro.tuning.session import TuningSession
 
 _TREE_ARRAYS = (
     "feature",
@@ -274,3 +287,99 @@ def test_catalog_log_columns_match_between_engines(native, monkeypatch):
     ref = (space.snap_many(U), [repr(c) for c in space.decode_many(U[:500])])
     assert fast[0].tobytes() == ref[0].tobytes()
     assert fast[1] == ref[1]
+
+
+#: Unit positions that take every branch of a snap: signed zeros (the
+#: lower bound), the upper bound and the last double below it,
+#: subnormals, values outside [0, 1], the infinities and NaN.
+_SNAP_SPECIALS = np.array(
+    [0.0, -0.0, 1.0, 0.5, 1 - 1e-16, 1e-300, 5e-324, -5e-324, -1.0, 2.0, 1e308, -1e308,
+     np.inf, -np.inf, np.nan]
+)
+
+
+def _signed_zero_space():
+    """Linear knobs bounded by signed zeros, where Python's clamp keeps
+    the value on a tie and ``np.clip`` the bound, next to one knob of
+    every other kind."""
+    return ConfigurationSpace(
+        [
+            ContinuousKnob("from_zero", 0.0, 1.0, 0.5),
+            ContinuousKnob("to_zero", -1.0, 0.0, -0.5),
+            ContinuousKnob("from_negative_zero", -0.0, 2.0, 1.0),
+            ContinuousKnob("to_negative_zero", -3.0, -0.0, -1.0),
+            ContinuousKnob("log", 1e-3, 1e3, 1.0, log=True),
+            IntegerKnob("int_to_zero", -5, 0, -1),
+            IntegerKnob("int_from_zero", 0, 7, 3),
+            IntegerKnob("int_log", 1, 2**62, 64, log=True),
+            CategoricalKnob("choice", ["a", "b", "c"], "a"),
+        ]
+    )
+
+
+def _numeric_catalog():
+    space = mysql_knob_space("B")
+    return space.subspace([k.name for k in space.knobs if not k.is_categorical])
+
+
+_SNAP_SPACES = {
+    "catalog": lambda: mysql_knob_space("B"),
+    "numeric catalog": _numeric_catalog,
+    "signed-zero bounds": _signed_zero_space,
+}
+
+
+def _snap_and_warnings(space, U):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = space.snap_many(U)
+    return out.tobytes(), [(w.category, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize("nan_choices", [False, True])
+@pytest.mark.parametrize("name", list(_SNAP_SPACES))
+def test_snap_engines_agree_on_special_values(native, monkeypatch, name, nan_choices):
+    """The native snap against the numpy groups, byte for byte, on rows
+    with 30% special cells and rows of one special value each.  A NaN
+    choice position makes numpy's cast to int64 warn; the kernel hands
+    such a matrix back to the groups, so both engines warn alike."""
+    space = _SNAP_SPACES[name]()
+    rng = np.random.default_rng(31)
+    U = rng.random((10_000, space.n_dims))
+    special = rng.random(U.shape) < 0.3
+    U[special] = rng.choice(_SNAP_SPECIALS, size=int(special.sum()))
+    U[: len(_SNAP_SPECIALS)] = _SNAP_SPECIALS[:, None]
+    cat = space.categorical_mask
+    if not nan_choices:
+        U[:, cat] = np.where(np.isnan(U[:, cat]), 0.25, U[:, cat])
+    assert np.isnan(U[:, ~cat]).any() and np.isinf(U).any()
+    fast = _snap_and_warnings(space, U)
+    _numpy_engine(monkeypatch)
+    ref = _snap_and_warnings(space, U)
+    assert fast == ref
+    assert bool(ref[1]) == (nan_choices and cat.any())
+
+
+@pytest.mark.parametrize("optimizer", ["smac", "vanilla_bo", "mixed_kernel_bo", "turbo"])
+def test_sessions_agree_between_engines(native, monkeypatch, optimizer):
+    """A short SYSBENCH session on all 197 knobs gives the same history
+    with the kernels loaded and without: the snap, the log map and the
+    tree kernels together, inside the optimizers that call them.  Both
+    sessions run on this host, so the check holds where BO trajectories
+    differ between kinds of host."""
+
+    def fingerprint():
+        space = mysql_knob_space("B")
+        session = TuningSession(
+            DatabaseObjective(MySQLServer("SYSBENCH", "B", seed=3), space),
+            OPTIMIZER_REGISTRY[optimizer](space, seed=5),
+            space,
+            max_iterations=16,
+            n_initial=10,
+            seed=7,
+        )
+        return history_fingerprint(session.run())
+
+    fast = fingerprint()
+    _numpy_engine(monkeypatch)
+    assert fingerprint() == fast

@@ -86,6 +86,41 @@ class TestAcquisitions:
         ei = expected_improvement(np.array([1.0]), np.array([0.0]), best=2.0)
         assert ei[0] == 0.0
 
+    def test_ei_is_the_improvement_when_mean_above_best_and_no_uncertainty(self):
+        ei = expected_improvement(np.array([3.0]), np.array([0.0]), best=2.0)
+        assert ei[0] == 1.0
+
+    def test_ei_matches_the_scipy_stats_formula(self):
+        """``ndtr`` and the pdf expression against ``norm.cdf`` and
+        ``norm.pdf``: the same bytes wherever the reference is a number,
+        NaN where it is NaN.  z covers normal draws, +-40, signed zeros,
+        the infinities, subnormals and NaN."""
+        from scipy import stats
+
+        def reference(mean, std, best):
+            improvement = mean - best
+            z = np.where(std > 0, improvement / std, 0.0)
+            ei = improvement * stats.norm.cdf(z) + std * stats.norm.pdf(z)
+            return np.where(std > 0, np.maximum(ei, 0.0), np.maximum(improvement, 0.0))
+
+        rng = np.random.default_rng(43)
+        specials = np.array(
+            [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1.0, -1.0,
+             40.0, -40.0, 1e300, -1e300, np.inf, -np.inf, np.nan]
+        )
+        mean = np.concatenate(
+            [rng.normal(size=100_000), rng.uniform(-40.0, 40.0, 100_000), np.repeat(specials, 15)]
+        )
+        std = np.concatenate(
+            [np.ones(100_000), rng.uniform(0.0, 3.0, 100_000), np.tile(specials, 15)]
+        )
+        for best in (0.0, -0.0, 0.7, np.inf):
+            with np.errstate(all="ignore"):
+                fast, ref = expected_improvement(mean, std, best), reference(mean, std, best)
+            nan = np.isnan(ref)
+            assert np.isnan(fast[nan]).all()
+            assert fast[~nan].tobytes() == ref[~nan].tobytes()
+
     def test_ei_positive_with_uncertainty(self):
         ei = expected_improvement(np.array([1.0]), np.array([1.0]), best=2.0)
         assert ei[0] > 0.0
@@ -99,3 +134,16 @@ class TestAcquisitions:
         stds = np.array([0.1, 1.0, 5.0])
         ei = expected_improvement(np.zeros(3), stds, best=1.0)
         assert ei[0] < ei[1] < ei[2]
+
+
+def test_package_imports_leave_out_scipy_stats(run_python):
+    """EI needs only ``scipy.special``; importing scipy's statistics
+    package would add about 22 MB to every study process."""
+    code = (
+        "import sys\n"
+        "import repro, repro.cli, repro.experiments, repro.optimizers, repro.selection\n"
+        "import repro.transfer, repro.analysis, repro.surrogate, repro.tuning\n"
+        "import repro.parallel, repro.resilience\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
+    assert run_python(code, hash_seed=0).strip() == "False"

@@ -15,6 +15,7 @@ from repro.optimizers import (
     MixedKernelBO,
     VanillaBO,
 )
+from repro.dbms.catalog import mysql_knob_space
 from repro.optimizers.base import History, Observation
 from repro.optimizers.ddpg import DDPGAgent, cdbtune_reward
 from repro.space import (
@@ -24,6 +25,7 @@ from repro.space import (
     ContinuousKnob,
     IntegerKnob,
 )
+from repro.space.sampling import scrambled_sobol_like
 
 ALL_NAMES = ["vanilla_bo", "mixed_kernel_bo", "smac", "tpe", "turbo", "ddpg", "ga", "random"]
 
@@ -274,3 +276,51 @@ def test_dedupe_avoids_repeats(cont_space):
     history.append(Observation(config=config, objective=0.0, score=0.0))
     suggestion = opt._dedupe(config, history)
     assert suggestion != config
+
+
+def _stacked_pool(opt, history):
+    """BO's candidate pool as a list of blocks stacked with ``np.vstack``:
+    one ``encode`` per anchor and two ``np.where`` passes per anchor's
+    categorical redraw."""
+    space, rng, d = opt.space, opt.rng, opt.space.n_dims
+    pool = [scrambled_sobol_like(opt.n_candidates, d, rng)]
+    succ = sorted(history.successful(), key=lambda o: o.score, reverse=True)
+    anchors = [space.encode(o.config) for o in succ[:4]]
+    per_anchor = max(1, opt.n_local_candidates // len(anchors))
+    for anchor in anchors:
+        local = anchor[None, :] + rng.normal(0.0, opt.local_stdev, (per_anchor, d))
+        cat = space.categorical_mask
+        if cat.any():
+            redraw = rng.random((per_anchor, d)) < 0.25
+            redraw &= cat[None, :]
+            local = np.where(redraw, rng.random((per_anchor, d)), local)
+            keep = np.broadcast_to(anchor[cat], (per_anchor, int(cat.sum())))
+            local[:, cat] = np.where(redraw[:, cat], local[:, cat], keep)
+        pool.append(np.clip(local, 0.0, 1.0))
+    return space.snap_many(np.vstack(pool))
+
+
+def _catalog(numeric_only):
+    space = mysql_knob_space("B")
+    if numeric_only:
+        space = space.subspace([k.name for k in space.knobs if not k.is_categorical])
+    return space
+
+
+@pytest.mark.parametrize("numeric_only", [False, True])
+@pytest.mark.parametrize("cls", [VanillaBO, MixedKernelBO])
+@pytest.mark.parametrize("n_success", [1, 3, 6])
+def test_candidate_pool_equals_stacked_blocks(cls, numeric_only, n_success):
+    """The pool built in one array equals the stacked construction byte
+    for byte and leaves the optimizer's generator in the same state,
+    with one to four anchors and a failed observation among them."""
+    space = _catalog(numeric_only)
+    rng = np.random.default_rng(7)
+    history = History(space)
+    for i, config in enumerate(space.sample_configurations(n_success + 1, rng)):
+        score = float(rng.normal())
+        history.append(Observation(config=config, objective=score, score=score, failed=i == 1))
+    fast, ref = cls(space, seed=11), cls(space, seed=11)
+    for _ in range(2):
+        assert fast._candidate_pool(history).tobytes() == _stacked_pool(ref, history).tobytes()
+        assert fast.rng.bit_generator.state == ref.rng.bit_generator.state

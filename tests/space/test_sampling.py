@@ -71,3 +71,36 @@ class TestLHSSampler:
         xs = sorted(c["x"] for c in configs)
         # stratified: both tails are reached
         assert xs[0] < 0.05 and xs[-1] > 0.95
+
+
+class _FixedOffset:
+    """A generator stand-in whose ``random(d)`` returns a set offset."""
+
+    def __init__(self, offset: np.ndarray) -> None:
+        self.offset = offset
+
+    def random(self, d: int) -> np.ndarray:
+        return self.offset.copy()
+
+
+def _kronecker_by_remainder(n: int, d: int, offset: np.ndarray) -> np.ndarray:
+    """The Kronecker design with numpy's float remainder ``% 1.0``."""
+    phi = 2.0
+    for _ in range(32):
+        phi = (1.0 + phi) ** (1.0 / (d + 1))
+    alphas = np.array([(1.0 / phi) ** (j + 1) for j in range(d)])
+    return (offset + np.arange(1, n + 1)[:, None] * alphas) % 1.0
+
+
+@pytest.mark.parametrize("d", [1, 20, 197])
+def test_kronecker_design_equals_float_remainder(d):
+    """Subtracting the floor gives ``% 1.0``'s bytes, from a zero offset
+    and from drawn ones, and draws the offset as before."""
+    rng, twin = np.random.default_rng(d), np.random.default_rng(d)
+    for offset in [np.zeros(d)] + [rng.random(d) for _ in range(40)]:
+        design = scrambled_sobol_like(1024, d, _FixedOffset(offset))
+        assert design.tobytes() == _kronecker_by_remainder(1024, d, offset).tobytes()
+    design = scrambled_sobol_like(1024, d, rng)
+    offsets = [twin.random(d) for _ in range(41)]
+    assert design.tobytes() == _kronecker_by_remainder(1024, d, offsets[-1]).tobytes()
+    assert rng.bit_generator.state == twin.bit_generator.state

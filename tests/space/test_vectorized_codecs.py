@@ -200,6 +200,25 @@ def test_neighbors_match_scalar_loop(space, ref, stdev):
         assert r1.bit_generator.state == r2.bit_generator.state
 
 
+def test_neighbor_rows_built_on_request(space, ref):
+    """``rows_at(idx)`` is ``rows[idx]`` for any index array -- a sample,
+    repeats, none -- and ``len``, ``names`` and ``values`` are each
+    neighbour's moved knob and its native value, as the scalar loop
+    produces them."""
+    bases = [space.default_configuration()] + ref.sample(3, np.random.default_rng(8))
+    for i, base in enumerate(bases):
+        neighbors = space.neighbors(base, np.random.default_rng(i))
+        slow = ref.neighbors(base, np.random.default_rng(i))
+        moved = [next(name for name in space.names if c[name] != base[name]) for c in slow]
+        assert len(neighbors) == len(slow)
+        assert neighbors.names == moved
+        assert [repr(v) for v in neighbors.values] == [repr(c[m]) for c, m in zip(slow, moved)]
+        rows, n = neighbors.rows, len(neighbors)
+        sample = np.random.default_rng(i).choice(n, size=min(80, n), replace=False)
+        for idx in (np.arange(n), sample, np.array([n - 1, 0, 0]), np.array([], dtype=np.int64)):
+            assert neighbors.rows_at(idx).tobytes() == rows[idx].tobytes()
+
+
 @pytest.mark.parametrize("kind", ["numeric", "categorical"])
 def test_neighbors_of_single_kind_spaces(kind, scalar_codec):
     knobs = {
