@@ -74,7 +74,7 @@ def sensitivity_analysis(
             m = measurement_factory(rep if seed is None else seed + rep + 1)
             result = m.rank([configs[i] for i in sub], scores[sub], default_score)
             sims.append(intersection_over_union(set(result.top(top_k)), baseline_top))
-            r2s.append(_holdout_r2(m, holdout_configs, holdout_scores))
+            r2s.append(r2_score(holdout_scores, m.predict_holdout(holdout_configs)))
         points.append(
             SensitivityPoint(
                 n_samples=size,
@@ -86,20 +86,3 @@ def sensitivity_analysis(
         )
     return points
 
-
-def _holdout_r2(
-    measurement: ImportanceMeasurement,
-    configs: Sequence[Configuration],
-    scores: np.ndarray,
-) -> float:
-    """Validation R² of the measurement's fitted surrogate, if it has one.
-
-    Measurements expose ``predict_holdout`` when their surrogate can
-    score unseen configurations; otherwise the training R² recorded
-    during ranking is used (Lasso's model is the regression itself).
-    """
-    predict = getattr(measurement, "predict_holdout", None)
-    if callable(predict):
-        pred = predict(configs)
-        return r2_score(scores, pred)
-    return measurement.surrogate_r2_ if measurement.surrogate_r2_ is not None else 0.0

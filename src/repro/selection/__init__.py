@@ -12,7 +12,14 @@ Ablation analysis      tunability-based  :mod:`repro.selection.ablation`
 SHAP                   tunability-based  :mod:`repro.selection.shap`
 =====================  ================  ===============================
 
-plus the two incremental space-sizing heuristics: increasing the knob
+Gini, fANOVA, ablation and SHAP read their scores off a random-forest
+surrogate of the unit-encoded pool, fitted once per ranking by
+:class:`~repro.selection.base.ForestMeasurement`; each declares only its
+forest's shape and its scoring rule.  Ablation and SHAP walk their
+default-to-target paths on unit rows.  Lasso fits its regression on the
+one-hot expansion of the same encoded rows.
+
+Plus the two incremental space-sizing heuristics: increasing the knob
 count (OtterTune) and decreasing it (Tuneful), in
 :mod:`repro.selection.incremental`.
 """

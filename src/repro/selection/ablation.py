@@ -12,6 +12,11 @@ As the paper observes, the measurement is only as good as the targets:
 without high-quality better-than-default samples, its paths chase
 surrogate noise (the source of its last-place Table 6 ranking and its
 low Figure 4 stability).
+
+A path is walked on unit rows: the default and the target are encoded
+once, and each step's candidates are the current row with one remaining
+knob's column taken from the target's row.  The codec encodes cell by
+cell, so these are the rows the candidate configurations encode to.
 """
 
 from __future__ import annotations
@@ -19,47 +24,25 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.forest import RandomForestRegressor
-from repro.ml.metrics import r2_score
-from repro.selection.base import ImportanceMeasurement
+from repro.selection.base import ForestMeasurement
 from repro.space import Configuration
 
 
-class AblationImportance(ImportanceMeasurement):
+class AblationImportance(ForestMeasurement):
     """Surrogate-assisted greedy ablation paths from the default."""
 
     name = "ablation"
+    max_depth, min_samples_leaf, max_features = 18, 3, 0.6
 
     def __init__(
         self,
         space,
         seed: int | None = None,
         n_targets: int = 12,
-        max_path_length: int | None = None,
         n_trees: int = 40,
     ) -> None:
-        super().__init__(space, seed)
+        super().__init__(space, seed, n_trees)
         self.n_targets = n_targets
-        self.max_path_length = max_path_length
-        self.n_trees = n_trees
-
-    def _fit_surrogate(self, X: np.ndarray, y: np.ndarray) -> RandomForestRegressor:
-        forest = RandomForestRegressor(
-            n_estimators=self.n_trees,
-            max_depth=18,
-            min_samples_leaf=3,
-            max_features=0.6,
-            seed=self.seed,
-        )
-        forest.fit(X, y)
-        self.surrogate_r2_ = r2_score(y, forest.predict(X))
-        self._surrogate = forest
-        return forest
-
-    def predict_holdout(self, configs) -> np.ndarray:
-        """Surrogate predictions for unseen configurations (Figure 4)."""
-        if getattr(self, "_surrogate", None) is None:
-            raise RuntimeError("measurement has not been run")
-        return self._surrogate.predict(self.space.encode_many(configs))
 
     def _ablation_path(
         self,
@@ -68,19 +51,18 @@ class AblationImportance(ImportanceMeasurement):
         target: Configuration,
     ) -> dict[str, float]:
         """Greedy default->target path; returns per-knob credited gains."""
-        differing = [n for n in self.space.names if default[n] != target[n]]
-        if self.max_path_length is not None:
-            differing = differing[: self.max_path_length]
-        current = default
-        current_pred = float(forest.predict(self.space.encode(current)[None, :])[0])
+        names = self.space.names
+        remaining = [j for j, name in enumerate(names) if default[name] != target[name]]
+        current, unit_target = self.space.encode_many([default, target])
+        current_pred = float(forest.predict(current[None, :])[0])
         credits: dict[str, float] = {}
-        remaining = list(differing)
         while remaining:
-            candidates = [current.with_values(**{name: target[name]}) for name in remaining]
-            preds = forest.predict(self.space.encode_many(candidates))
+            candidates = np.repeat(current[None, :], len(remaining), axis=0)
+            candidates[np.arange(len(remaining)), remaining] = unit_target[remaining]
+            preds = forest.predict(candidates)
             j = int(np.argmax(preds))
             gain = float(preds[j] - current_pred)
-            credits[remaining[j]] = max(gain, 0.0)
+            credits[names[remaining[j]]] = max(gain, 0.0)
             current = candidates[j]
             current_pred = float(preds[j])
             remaining.pop(j)
@@ -89,21 +71,13 @@ class AblationImportance(ImportanceMeasurement):
     def _compute(self, configs, scores, default_score) -> np.ndarray:
         if default_score is None:
             raise ValueError("ablation analysis requires the default score")
-        X = self.space.encode_many(configs)
-        y = np.asarray(scores, dtype=float)
-        forest = self._fit_surrogate(X, y)
+        return super()._compute(configs, scores, default_score)
 
-        order = np.argsort(-y)
-        targets = [configs[i] for i in order if y[i] > default_score][: self.n_targets]
-        if not targets:
-            # No better-than-default sample: fall back to the overall best
-            # configurations (the paper notes this failure mode).
-            targets = [configs[i] for i in order[: self.n_targets]]
+    def _scores(self, forest, configs, scores, default_score) -> np.ndarray:
         default = self.space.default_configuration()
-
-        totals = np.zeros(self.space.n_dims)
-        index = {name: i for i, name in enumerate(self.space.names)}
+        targets = self._targets(configs, scores, default_score, self.n_targets)
+        totals = dict.fromkeys(self.space.names, 0.0)
         for target in targets:
             for name, gain in self._ablation_path(forest, default, target).items():
-                totals[index[name]] += gain
-        return totals / len(targets)
+                totals[name] += gain
+        return np.fromiter(totals.values(), float) / len(targets)

@@ -5,6 +5,13 @@ Every measurement consumes the same inputs (paper §3.1): a set of
 the space itself.  Scores are maximization targets (latency negated), so
 "better than default" means score above the default's score for both
 objective directions.
+
+Four of the five measurements (Gini, fANOVA, ablation, SHAP) read their
+scores off a random-forest surrogate of the encoded pool;
+:class:`ForestMeasurement` fits it, records its R², predicts held-out
+configurations with it and picks the better-than-default targets of the
+tunability-based measurements.  Each subclass declares its forest's shape
+and scores knobs from the fitted forest.
 """
 
 from __future__ import annotations
@@ -14,6 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dbms.server import MySQLServer
+from repro.ml.forest import RandomForestRegressor
+from repro.ml.metrics import r2_score
 from repro.space import Configuration, ConfigurationSpace
 from repro.space.sampling import LatinHypercubeSampler
 from repro.tuning.objective import DatabaseObjective
@@ -39,9 +48,10 @@ class ImportanceResult:
 class ImportanceMeasurement:
     """Base class: ranks knobs from observations.
 
-    Subclasses implement :meth:`_compute` returning a per-knob score.
-    :attr:`surrogate_r2_` is populated by measurements that fit a
-    regression surrogate (used by the Figure 4 sensitivity analysis).
+    Subclasses implement :meth:`_compute` returning a per-knob score, and
+    :meth:`predict_holdout`.  Ranking records the fitted model's training
+    R² in :attr:`surrogate_r2_`; the Figure 4 sensitivity analysis scores
+    the model on held-out configurations through :meth:`predict_holdout`.
     """
 
     name = "importance"
@@ -80,21 +90,70 @@ class ImportanceMeasurement:
     ) -> np.ndarray:
         raise NotImplementedError
 
+    def predict_holdout(self, configs: list[Configuration]) -> np.ndarray:
+        """The fitted model's predictions for unseen configurations
+        (Figure 4); raises ``RuntimeError`` before :meth:`rank`."""
+        raise NotImplementedError
+
+
+class ForestMeasurement(ImportanceMeasurement):
+    """A measurement read off a random-forest surrogate of the pool.
+
+    Subclasses set the forest's shape in the class attributes
+    ``max_depth``, ``min_samples_leaf`` and ``max_features``, and score
+    knobs from the fitted forest in :meth:`_scores`.
+    """
+
+    def __init__(self, space: ConfigurationSpace, seed: int | None, n_trees: int) -> None:
+        super().__init__(space, seed)
+        self.n_trees = n_trees
+        self._surrogate: RandomForestRegressor | None = None
+
+    def _compute(self, configs, scores, default_score) -> np.ndarray:
+        X = self.space.encode_many(configs)
+        forest = RandomForestRegressor(
+            n_estimators=self.n_trees,
+            max_depth=self.max_depth,
+            min_samples_leaf=self.min_samples_leaf,
+            max_features=self.max_features,
+            seed=self.seed,
+        )
+        forest.fit(X, scores)
+        self.surrogate_r2_ = r2_score(scores, forest.predict(X))
+        self._surrogate = forest
+        return self._scores(forest, configs, scores, default_score)
+
+    def _scores(self, forest: RandomForestRegressor, configs, scores, default_score) -> np.ndarray:
+        raise NotImplementedError
+
+    def predict_holdout(self, configs: list[Configuration]) -> np.ndarray:
+        if self._surrogate is None:
+            raise RuntimeError("measurement has not been run")
+        return self._surrogate.predict(self.space.encode_many(configs))
+
+    def _targets(self, configs, scores, default_score: float, n: int) -> list[Configuration]:
+        """The ``n`` best configurations that beat the default or, when
+        none does, the ``n`` best overall (the paper notes this failure
+        mode of the tunability-based measurements)."""
+        order = np.argsort(-scores)
+        better = [configs[i] for i in order if scores[i] > default_score]
+        return (better or [configs[i] for i in order])[:n]
+
 
 def collect_samples(
     server: MySQLServer,
     space: ConfigurationSpace,
     n_samples: int,
     seed: int | None = None,
-    include_default: bool = True,
 ) -> tuple[list[Configuration], np.ndarray, float]:
     """LHS sample pool for knob selection / surrogate training (paper §5.1).
 
     Failed configurations are kept with the worst successful score, or,
     when nothing succeeded, with the session's failure fallback
     (:meth:`DatabaseObjective.failure_fallback_score`), mirroring the
-    session clamping rule.  Returns (configs, scores, default score);
-    scores are maximization targets.
+    session clamping rule.  The default configuration is appended with
+    its score.  Returns (configs, scores, default score); scores are
+    maximization targets.
     """
     sampler = LatinHypercubeSampler(space, seed=seed)
     configs = sampler.sample(n_samples)
@@ -116,7 +175,5 @@ def collect_samples(
         else DatabaseObjective(server, space).failure_fallback_score()
     )
     scores = np.where(np.isnan(scores), worst, scores)
-    if include_default:
-        configs = configs + [space.default_configuration()]
-        scores = np.append(scores, default_score)
-    return configs, scores, default_score
+    configs = configs + [space.default_configuration()]
+    return configs, np.append(scores, default_score), default_score

@@ -19,10 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.forest import RandomForestRegressor
-from repro.ml.metrics import r2_score
 from repro.ml.tree import DecisionTreeRegressor
-from repro.selection.base import ImportanceMeasurement
+from repro.selection.base import ForestMeasurement
 
 
 def tree_fanova_importances(tree: DecisionTreeRegressor, n_dims: int) -> np.ndarray:
@@ -66,44 +64,17 @@ def tree_fanova_importances(tree: DecisionTreeRegressor, n_dims: int) -> np.ndar
     return importances
 
 
-class FanovaImportance(ImportanceMeasurement):
+class FanovaImportance(ForestMeasurement):
     """Forest-averaged single-feature fANOVA importances."""
 
     name = "fanova"
+    max_depth, min_samples_leaf, max_features = 10, 3, 0.7
 
-    def __init__(
-        self,
-        space,
-        seed: int | None = None,
-        n_trees: int = 16,
-        max_depth: int | None = 10,
-        min_samples_leaf: int = 3,
-    ) -> None:
-        super().__init__(space, seed)
-        self.n_trees = n_trees
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
+    def __init__(self, space, seed: int | None = None, n_trees: int = 16) -> None:
+        super().__init__(space, seed, n_trees)
 
-    def _compute(self, configs, scores, default_score) -> np.ndarray:
-        X = self.space.encode_many(configs)
-        y = np.asarray(scores, dtype=float)
-        forest = RandomForestRegressor(
-            n_estimators=self.n_trees,
-            max_depth=self.max_depth,
-            min_samples_leaf=self.min_samples_leaf,
-            max_features=0.7,
-            seed=self.seed,
-        )
-        forest.fit(X, y)
-        self.surrogate_r2_ = r2_score(y, forest.predict(X))
-        self._surrogate = forest
+    def _scores(self, forest, configs, scores, default_score):
         total = np.zeros(self.space.n_dims)
         for tree in forest.trees_:
             total += tree_fanova_importances(tree, self.space.n_dims)
         return total / len(forest.trees_)
-
-    def predict_holdout(self, configs) -> np.ndarray:
-        """Surrogate predictions for unseen configurations (Figure 4)."""
-        if getattr(self, "_surrogate", None) is None:
-            raise RuntimeError("measurement has not been run")
-        return self._surrogate.predict(self.space.encode_many(configs))

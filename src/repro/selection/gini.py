@@ -7,48 +7,17 @@ important knobs discriminate more samples and are used more frequently.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.ml.forest import RandomForestRegressor
-from repro.ml.metrics import r2_score
-from repro.selection.base import ImportanceMeasurement
+from repro.selection.base import ForestMeasurement
 
 
-class GiniImportance(ImportanceMeasurement):
+class GiniImportance(ForestMeasurement):
     """Split-count importance from a random-forest surrogate."""
 
     name = "gini"
+    max_depth, min_samples_leaf, max_features = 14, 2, 0.6
 
-    def __init__(
-        self,
-        space,
-        seed: int | None = None,
-        n_trees: int = 30,
-        max_depth: int | None = 14,
-        min_samples_leaf: int = 2,
-    ) -> None:
-        super().__init__(space, seed)
-        self.n_trees = n_trees
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
+    def __init__(self, space, seed: int | None = None, n_trees: int = 30) -> None:
+        super().__init__(space, seed, n_trees)
 
-    def _compute(self, configs, scores, default_score) -> np.ndarray:
-        X = self.space.encode_many(configs)
-        y = np.asarray(scores, dtype=float)
-        forest = RandomForestRegressor(
-            n_estimators=self.n_trees,
-            max_depth=self.max_depth,
-            min_samples_leaf=self.min_samples_leaf,
-            max_features=0.6,
-            seed=self.seed,
-        )
-        forest.fit(X, y)
-        self.surrogate_r2_ = r2_score(y, forest.predict(X))
-        self._surrogate = forest
+    def _scores(self, forest, configs, scores, default_score):
         return forest.split_counts()
-
-    def predict_holdout(self, configs) -> np.ndarray:
-        """Surrogate predictions for unseen configurations (Figure 4)."""
-        if getattr(self, "_surrogate", None) is None:
-            raise RuntimeError("measurement has not been run")
-        return self._surrogate.predict(self.space.encode_many(configs))

@@ -29,7 +29,41 @@ from repro.tuning.session import TuningSession, project_observation
 OptimizerFactory = Callable[[ConfigurationSpace, int], Optimizer]
 
 
-class IncrementalTuner:
+class _PhasedTuner:
+    """What the two drivers share: a tuning phase on one subspace, and
+    the final history over the last phase's space.  Subclasses set
+    ``objective_factory``, ``optimizer_factory`` and ``seed``."""
+
+    def _run_phase(
+        self, space: ConfigurationSpace, phase: int, merged: list[Observation], budget: int
+    ) -> None:
+        """Tune ``space`` for ``budget`` iterations with a fresh optimizer,
+        warm-started with ``merged`` projected onto ``space``, and append
+        the new observations to ``merged``."""
+        objective = self.objective_factory(space)
+        optimizer = self.optimizer_factory(space, phase)
+        warm = [project_observation(o, space) for o in merged]
+        session = TuningSession(
+            objective,
+            optimizer,
+            space,
+            max_iterations=budget,
+            n_initial=10 if not merged else 0,
+            seed=None if self.seed is None else self.seed + phase,
+            warm_start=warm,
+        )
+        merged.extend(session.run().observations[len(warm) :])
+
+    @staticmethod
+    def _history(space: ConfigurationSpace, merged: list[Observation]) -> History:
+        """Every observation, projected onto ``space``."""
+        out = History(space)
+        for obs in merged:
+            out.append(project_observation(obs, space))
+        return out
+
+
+class IncrementalTuner(_PhasedTuner):
     """OtterTune-style increasing knob count."""
 
     def __init__(
@@ -57,46 +91,23 @@ class IncrementalTuner:
         self.seed = seed
 
     def run(self, total_iterations: int) -> History:
+        if self.base_space is None:
+            raise ValueError("base_space is required")
         n_knobs = min(self.start_knobs, self.max_knobs)
-        done = 0
         merged: list[Observation] = []
-        phase = 0
-        full_space = None
+        done = phase = 0
+        space = None
         while done < total_iterations:
-            names = self.ranked_knobs[:n_knobs]
-            space = (
-                self.base_space.subspace(names, seed=self.seed)
-                if self.base_space is not None
-                else None
-            )
-            if space is None:
-                raise ValueError("base_space is required")
-            objective = self.objective_factory(space)
-            optimizer = self.optimizer_factory(space, phase)
-            warm = [project_observation(o, space) for o in merged]
+            space = self.base_space.subspace(self.ranked_knobs[:n_knobs], seed=self.seed)
             budget = min(self.step_iterations, total_iterations - done)
-            session = TuningSession(
-                objective,
-                optimizer,
-                space,
-                max_iterations=budget,
-                n_initial=10 if not merged else 0,
-                seed=None if self.seed is None else self.seed + phase,
-                warm_start=warm,
-            )
-            history = session.run()
-            merged.extend(history.observations[len(warm) :])
+            self._run_phase(space, phase, merged, budget)
             done += budget
             n_knobs = min(n_knobs + self.step_knobs, self.max_knobs)
             phase += 1
-            full_space = space
-        out = History(full_space)
-        for obs in merged:
-            out.append(project_observation(obs, full_space))
-        return out
+        return self._history(space, merged)
 
 
-class DecrementalTuner:
+class DecrementalTuner(_PhasedTuner):
     """Tuneful-style decreasing knob count with periodic re-ranking."""
 
     def __init__(
@@ -132,33 +143,15 @@ class DecrementalTuner:
         if self.base_space is None:
             raise ValueError("base_space is required")
         names = list(self.initial_knobs)
-        done = 0
         merged: list[Observation] = []
-        phase = 0
+        done = phase = 0
         space = self.base_space.subspace(names, seed=self.seed)
         while done < total_iterations:
-            objective = self.objective_factory(space)
-            optimizer = self.optimizer_factory(space, phase)
-            warm = [project_observation(o, space) for o in merged]
             budget = min(self.step_iterations, total_iterations - done)
-            session = TuningSession(
-                objective,
-                optimizer,
-                space,
-                max_iterations=budget,
-                n_initial=10 if not merged else 0,
-                seed=None if self.seed is None else self.seed + phase,
-                warm_start=warm,
-            )
-            history = session.run()
-            merged.extend(history.observations[len(warm) :])
+            self._run_phase(space, phase, merged, budget)
             done += budget
             phase += 1
             if len(names) > self.final_knobs and done < total_iterations:
-                projected = [project_observation(o, space) for o in merged]
-                names = self._rerank(space, projected)
+                names = self._rerank(space, [project_observation(o, space) for o in merged])
                 space = self.base_space.subspace(names, seed=self.seed)
-        out = History(space)
-        for obs in merged:
-            out.append(project_observation(obs, space))
-        return out
+        return self._history(space, merged)

@@ -1,10 +1,11 @@
 """Lasso-based knob ranking (OtterTune, paper §3.1.1 / §4.2).
 
-Features are the one-hot encoded knobs augmented with second-degree
-polynomial terms (the OtterTune setting).  Knobs are ranked by the order
-in which any of their terms enters the regularization path as the L1
-penalty decreases — the knob whose coefficient survives the strongest
-penalty is the most important.
+Features are the one-hot encoded knobs (the space's unit rows with each
+categorical column expanded into an indicator block) augmented with
+second-degree polynomial terms (the OtterTune setting).  Knobs are
+ranked by the order in which any of their terms enters the
+regularization path as the L1 penalty decreases — the knob whose
+coefficient survives the strongest penalty is the most important.
 
 For wide spaces the full quadratic expansion is intractable
 (197 one-hot -> ~260 columns -> ~34k quadratic terms), so expansions
@@ -35,42 +36,32 @@ class LassoImportance(ImportanceMeasurement):
         seed: int | None = None,
         n_alphas: int = 12,
         max_quadratic_dims: int = 40,
-        max_iter: int = 300,
     ) -> None:
         super().__init__(space, seed)
         self.n_alphas = n_alphas
         self.max_quadratic_dims = max_quadratic_dims
-        self.max_iter = max_iter
 
     # ------------------------------------------------------------------
-    def _design_matrix(self, configs: list[Configuration]) -> tuple[np.ndarray, list[int]]:
-        """One-hot + polynomial design; returns (X, column -> knob index)."""
+    def _design_matrix(
+        self, configs: list[Configuration]
+    ) -> tuple[np.ndarray, list[tuple[int, ...]]]:
+        """One-hot + polynomial design; returns (X, each column's owning
+        knob indices), the latter also kept as ``_combos``.  An
+        interaction term credits every knob it involves."""
         X = self.space.one_hot_encode_many(configs)
-        # column -> knob index for the one-hot base design
-        base_owner: list[int] = []
-        for i, knob in enumerate(self.space.knobs):
-            width = knob.n_choices if isinstance(knob, CategoricalKnob) else 1
-            base_owner.extend([i] * width)
-
+        widths = [k.n_choices if isinstance(k, CategoricalKnob) else 1 for k in self.space.knobs]
+        owner = np.repeat(np.arange(self.space.n_dims), widths).tolist()
         if X.shape[1] <= self.max_quadratic_dims:
             poly = PolynomialFeatures(degree=2, interaction_only=False, include_bias=False)
             Xp = poly.fit_transform(X)
-            owners: list[int] = []
-            for combo in poly.feature_groups(X.shape[1]):
-                # Attribute interaction terms to the stronger-owning knob by
-                # splitting the column between all involved knobs; for
-                # ranking, crediting every involved knob works well.
-                owners.append(-1 if len(combo) != 1 else base_owner[combo[0]])
-            # Re-expand: keep the combo list for multi-owner credit.
-            self._combos = [tuple(base_owner[c] for c in combo) for combo in poly.feature_groups(X.shape[1])]
-            return Xp, owners
-        squared = X**2
-        Xp = np.hstack([X, squared])
-        self._combos = [(o,) for o in base_owner] + [(o, o) for o in base_owner]
-        return Xp, base_owner + base_owner
+            groups = poly.feature_groups(X.shape[1])
+            self._combos = [tuple(owner[c] for c in combo) for combo in groups]
+            return Xp, self._combos
+        self._combos = [(o,) for o in owner] + [(o, o) for o in owner]
+        return np.hstack([X, X**2]), self._combos
 
     def _compute(self, configs, scores, default_score) -> np.ndarray:
-        X, __ = self._design_matrix(configs)
+        X, combos = self._design_matrix(configs)
         y = np.asarray(scores, dtype=float)
         y_std = y.std()
         yn = (y - y.mean()) / (y_std if y_std > 0 else 1.0)
@@ -88,7 +79,7 @@ class LassoImportance(ImportanceMeasurement):
         entry_rank = np.full(d, np.inf)  # smaller = enters earlier = stronger
         final_coef_credit = np.zeros(d)
         for step, alpha in enumerate(alphas):
-            model = LassoRegression(alpha=float(alpha), max_iter=self.max_iter, standardize=False)
+            model = LassoRegression(alpha=float(alpha), max_iter=300, standardize=False)
             model.fit(Xs, yn)
             assert model.coef_ is not None
             self.surrogate_r2_ = r2_score(yn, model.predict(Xs))
@@ -98,7 +89,7 @@ class LassoImportance(ImportanceMeasurement):
             for col, coef in enumerate(model.coef_):
                 if abs(coef) <= 1e-9:
                     continue
-                for owner in self._combos[col]:
+                for owner in combos[col]:
                     entry_rank[owner] = min(entry_rank[owner], step)
                     final_coef_credit[owner] = max(final_coef_credit[owner], abs(coef))
         # Score: earlier path entry dominates; final |coef| breaks ties.

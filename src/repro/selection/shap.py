@@ -22,15 +22,19 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.forest import RandomForestRegressor
-from repro.ml.metrics import r2_score
-from repro.selection.base import ImportanceMeasurement
+from repro.selection.base import ForestMeasurement
 from repro.space import Configuration
 
+#: A target's SHAP values below this fraction of its largest one are
+#: dropped as surrogate noise.
+_NOISE_FLOOR_FRAC = 0.03
 
-class ShapImportance(ImportanceMeasurement):
+
+class ShapImportance(ForestMeasurement):
     """Permutation-sampled Shapley tunability scores."""
 
     name = "shap"
+    max_depth, min_samples_leaf, max_features = 18, 3, 0.6
 
     def __init__(
         self,
@@ -38,33 +42,11 @@ class ShapImportance(ImportanceMeasurement):
         seed: int | None = None,
         n_targets: int = 20,
         n_permutations: int = 10,
-        noise_floor_frac: float = 0.03,
         n_trees: int = 40,
     ) -> None:
-        super().__init__(space, seed)
+        super().__init__(space, seed, n_trees)
         self.n_targets = n_targets
         self.n_permutations = n_permutations
-        self.noise_floor_frac = noise_floor_frac
-        self.n_trees = n_trees
-
-    def _fit_surrogate(self, X: np.ndarray, y: np.ndarray) -> RandomForestRegressor:
-        forest = RandomForestRegressor(
-            n_estimators=self.n_trees,
-            max_depth=18,
-            min_samples_leaf=3,
-            max_features=0.6,
-            seed=self.seed,
-        )
-        forest.fit(X, y)
-        self.surrogate_r2_ = r2_score(y, forest.predict(X))
-        self._surrogate = forest
-        return forest
-
-    def predict_holdout(self, configs) -> np.ndarray:
-        """Surrogate predictions for unseen configurations (Figure 4)."""
-        if getattr(self, "_surrogate", None) is None:
-            raise RuntimeError("measurement has not been run")
-        return self._surrogate.predict(self.space.encode_many(configs))
 
     def shap_values(
         self,
@@ -96,18 +78,12 @@ class ShapImportance(ImportanceMeasurement):
     def _compute(self, configs, scores, default_score) -> np.ndarray:
         if default_score is None:
             raise ValueError("SHAP tunability requires the default score")
-        X = self.space.encode_many(configs)
-        y = np.asarray(scores, dtype=float)
-        forest = self._fit_surrogate(X, y)
+        return super()._compute(configs, scores, default_score)
 
-        order = np.argsort(-y)
-        targets = [configs[i] for i in order if y[i] > default_score][: self.n_targets]
-        if not targets:
-            targets = [configs[i] for i in order[: self.n_targets]]
+    def _scores(self, forest, configs, scores, default_score) -> np.ndarray:
         default = self.space.default_configuration()
-
-        totals = np.zeros(self.space.n_dims)
-        index = {name: i for i, name in enumerate(self.space.names)}
+        targets = self._targets(configs, scores, default_score, self.n_targets)
+        totals = dict.fromkeys(self.space.names, 0.0)
         for target in targets:
             phis = self.shap_values(forest, default, target)
             if not phis:
@@ -116,8 +92,8 @@ class ShapImportance(ImportanceMeasurement):
             # noise cancels; a knob's tunability is the positive part of
             # its mean contribution.  Tiny values below the per-target
             # noise floor are dropped either way.
-            floor = self.noise_floor_frac * max(abs(v) for v in phis.values())
+            floor = _NOISE_FLOOR_FRAC * max(abs(v) for v in phis.values())
             for name, phi in phis.items():
                 if abs(phi) > floor:
-                    totals[index[name]] += phi
-        return np.maximum(totals / len(targets), 0.0)
+                    totals[name] += phi
+        return np.maximum(np.fromiter(totals.values(), float) / len(targets), 0.0)

@@ -5,7 +5,8 @@ A :class:`ConfigurationSpace` is an ordered collection of knobs.  It provides
 - encode/decode between native :class:`Configuration` objects and unit
   vectors in ``[0, 1]^d`` (the representation optimizers work in),
 - one-hot encoding for Lasso's knob ranking, which needs explicit
-  categorical expansion,
+  categorical expansion: the encoded rows, with each categorical column
+  spread into an indicator block hot at the choice the column holds,
 - subspacing (knob selection produces a subspace of the full space),
 - neighbourhood generation for SMAC-style local search.
 
@@ -28,7 +29,10 @@ order; the groups remain its twin where no kernel is loaded and on the
 inputs the C loop hands back (a NaN choice position, or a value on which
 ``math`` would raise).
 Decoded values are Python-native (``int``, ``float``, the choice object),
-so configurations hash and compare as the scalar path's do.
+so configurations hash and compare as the scalar path's do.  A NaN unit
+position has no integer or categorical value, as ``Knob.from_unit`` has
+none: decoding one, or snapping a NaN choice position, raises
+``ValueError`` naming the knob.  A continuous knob decodes NaN to NaN.
 
 A neighbourhood (:class:`Neighbors`) keeps the base row and one moved
 cell per neighbour; SMAC's local search scores a sample of at most 80
@@ -204,9 +208,20 @@ class _Codec:
             if categorical
             else None
         )
+        integer = [j for (is_int, __), cols in kinds.items() if is_int for j in cols]
+        self.discrete_cols = np.array(sorted(integer + categorical), dtype=np.intp)
+
+    def _reject_nan(self, U: np.ndarray, cols: np.ndarray) -> None:
+        """Raise ``ValueError`` for a NaN in columns ``cols`` of ``U``,
+        naming the first such knob."""
+        nan = np.isnan(U[:, cols]).any(axis=0)
+        if nan.any():
+            raise ValueError(f"{self.names[cols[nan.argmax()]]}: no value at unit position NaN")
 
     def values(self, U: np.ndarray) -> np.ndarray:
         """Native values of the unit rows ``U``, as an object matrix."""
+        if np.isnan(U).any():
+            self._reject_nan(U, self.discrete_cols)
         out = np.empty(U.shape, dtype=object)
         for g in self.numeric:
             v = g.from_unit(U[:, g.cols])
@@ -255,6 +270,7 @@ class _Codec:
             out[:, g.cols] = g.to_unit(g.from_unit(U[:, g.cols]))
         cat = self.categorical
         if cat is not None:
+            self._reject_nan(U, cat.cols)
             out[:, cat.cols] = cat.units(cat.indices(U[:, cat.cols]))
         return out
 
@@ -430,24 +446,25 @@ class ConfigurationSpace:
         """
         return self._codec.snap(self._rows(vectors))
 
-    def one_hot_encode(self, config: Mapping[str, Any]) -> np.ndarray:
+    def one_hot_encode_many(self, configs: Sequence[Mapping[str, Any]]) -> np.ndarray:
         """Encode with explicit one-hot expansion of categorical knobs.
 
-        Numeric knobs contribute their unit value; a categorical knob with
-        ``n`` choices contributes an ``n``-length indicator block.
+        Numeric knobs contribute their column of :meth:`encode_many`; a
+        categorical knob with ``n`` choices contributes an ``n``-length
+        indicator block, hot at the choice its encoded column holds.
         """
-        parts: list[np.ndarray] = []
-        for knob in self._knobs:
-            if isinstance(knob, CategoricalKnob):
-                block = np.zeros(knob.n_choices)
-                block[knob.choice_index(config[knob.name])] = 1.0
-                parts.append(block)
-            else:
-                parts.append(np.array([knob.to_unit(config[knob.name])]))
-        return np.concatenate(parts)
-
-    def one_hot_encode_many(self, configs: Sequence[Mapping[str, Any]]) -> np.ndarray:
-        return np.array([self.one_hot_encode(c) for c in configs], dtype=float)
+        U = self.encode_many(configs)
+        codec, cat = self._codec, self._codec.categorical
+        widths = np.ones(self.n_dims, dtype=np.intp)
+        if cat is not None:
+            widths[cat.cols] = cat.n
+        starts = np.cumsum(widths) - widths
+        out = np.zeros((len(U), int(widths.sum())))
+        out[:, starts[codec.numeric_cols]] = U[:, codec.numeric_cols]
+        if cat is not None:
+            hot = starts[cat.cols] + cat.indices(U[:, cat.cols])
+            out[np.arange(len(U))[:, None], hot] = 1.0
+        return out
 
     # ------------------------------------------------------------------
     # configurations

@@ -336,13 +336,23 @@ def _snap_and_warnings(space, U):
     return out.tobytes(), [(w.category, str(w.message)) for w in caught]
 
 
+def _snap_error(space, U):
+    """The message of the ``ValueError`` a snap raises; a warning fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as caught:
+            space.snap_many(U)
+    return str(caught.value)
+
+
 @pytest.mark.parametrize("nan_choices", [False, True])
 @pytest.mark.parametrize("name", list(_SNAP_SPACES))
 def test_snap_engines_agree_on_special_values(native, monkeypatch, name, nan_choices):
-    """The native snap against the numpy groups, byte for byte, on rows
-    with 30% special cells and rows of one special value each.  A NaN
-    choice position makes numpy's cast to int64 warn; the kernel hands
-    such a matrix back to the groups, so both engines warn alike."""
+    """The native snap against the numpy groups, byte for byte and
+    without a warning, on rows with 30% special cells and rows of one
+    special value each.  A NaN choice position has no choice: the kernel
+    hands such a matrix back to the groups, which reject it, so both
+    engines raise the same ``ValueError``."""
     space = _SNAP_SPACES[name]()
     rng = np.random.default_rng(31)
     U = rng.random((10_000, space.n_dims))
@@ -353,11 +363,50 @@ def test_snap_engines_agree_on_special_values(native, monkeypatch, name, nan_cho
     if not nan_choices:
         U[:, cat] = np.where(np.isnan(U[:, cat]), 0.25, U[:, cat])
     assert np.isnan(U[:, ~cat]).any() and np.isinf(U).any()
+    if nan_choices and cat.any():
+        fast = _snap_error(space, U)
+        _numpy_engine(monkeypatch)
+        assert _snap_error(space, U) == fast
+        return
     fast = _snap_and_warnings(space, U)
     _numpy_engine(monkeypatch)
     ref = _snap_and_warnings(space, U)
     assert fast == ref
-    assert bool(ref[1]) == (nan_choices and cat.any())
+    assert not ref[1]
+
+
+@pytest.mark.parametrize("engine", ["native", "numpy"])
+def test_nan_positions_decode_like_from_unit(monkeypatch, engine):
+    """``Knob.from_unit(nan)`` raises ``ValueError`` for integer and
+    categorical knobs and returns NaN for continuous ones.  Catalog rows
+    with a NaN in one such column decode alike under either engine,
+    naming the knob and without a warning, and a snap rejects a NaN
+    choice position."""
+    if engine == "native" and treefast.native_kernel() is None:
+        pytest.skip("native kernels not loaded")
+    if engine == "numpy":
+        _numpy_engine(monkeypatch)
+    space = mysql_knob_space("B")
+    kinds = (IntegerKnob, CategoricalKnob, ContinuousKnob)
+    for kind in kinds:
+        j, knob = next((j, k) for j, k in enumerate(space.knobs) if type(k) is kind)
+        U = np.full((3, space.n_dims), 0.5)
+        U[1, j] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if kind is ContinuousKnob:
+                assert math.isnan(knob.from_unit(math.nan))
+                assert math.isnan(space.decode_many(U)[1][knob.name])
+                continue
+            with pytest.raises(ValueError):
+                knob.from_unit(math.nan)
+            with pytest.raises(ValueError, match=knob.name):
+                space.decode_many(U)
+            with pytest.raises(ValueError, match=knob.name):
+                space.decode(U[1])
+            if kind is CategoricalKnob:
+                with pytest.raises(ValueError, match=knob.name):
+                    space.snap_many(U)
 
 
 @pytest.mark.parametrize("optimizer", ["smac", "vanilla_bo", "mixed_kernel_bo", "turbo"])

@@ -24,6 +24,14 @@ REAL_KNOBS = {
 TRAP_KNOBS = {"max_connections", "query_cache_type", "query_cache_size", "general_log", "big_tables"}
 #: Inert filler knobs.
 FILLER_KNOBS = {"ft_min_word_len", "default_week_format", "net_retry_count"}
+#: Each forest measurement's (default n_trees, max_depth,
+#: min_samples_leaf, max_features).
+FOREST_SHAPES = {
+    "gini": (30, 14, 2, 0.6),
+    "fanova": (16, 10, 3, 0.7),
+    "shap": (40, 18, 3, 0.6),
+    "ablation": (40, 18, 3, 0.6),
+}
 
 
 class _CrashingServer(MySQLServer):
@@ -123,6 +131,53 @@ class TestAllMeasurements:
         m.rank(configs, scores, default_score=default_score)
         preds = m.predict_holdout(configs[:5])
         assert preds.shape == (5,)
+
+    def test_predict_holdout_before_rank_raises(self, name, mysql_space):
+        m = MEASUREMENT_REGISTRY[name](mysql_space, seed=1)
+        with pytest.raises(RuntimeError):
+            m.predict_holdout([mysql_space.default_configuration()])
+
+
+@pytest.mark.parametrize("name", list(FOREST_SHAPES))
+def test_forest_shape(name, mysql_space, sysbench_pool):
+    """Each measurement fits its own forest shape, seeded with its seed;
+    ``n_trees`` sets only the forest's size."""
+    configs, scores, default_score = sysbench_pool
+    n_trees, max_depth, min_samples_leaf, max_features = FOREST_SHAPES[name]
+    for kwargs, expected_trees in (({}, n_trees), ({"n_trees": 3}, 3)):
+        m = MEASUREMENT_REGISTRY[name](mysql_space, seed=4, **kwargs)
+        m.rank(configs[:60], scores[:60], default_score=default_score)
+        forest = m._surrogate
+        assert forest.n_estimators == expected_trees
+        assert (forest.max_depth, forest.min_samples_leaf, forest.max_features) == (
+            max_depth,
+            min_samples_leaf,
+            max_features,
+        )
+        assert forest.seed == 4
+
+
+#: Small budgets for the tunability-based measurements.
+SMALL_TUNABILITY = {
+    "shap": dict(n_targets=4, n_permutations=2, n_trees=8),
+    "ablation": dict(n_targets=3, n_trees=8),
+}
+
+
+@pytest.mark.parametrize("name", list(SMALL_TUNABILITY))
+def test_tunability_targets_fall_back_to_the_best(name, mysql_space, sysbench_pool):
+    """When nothing beats the default, the targets are the best samples
+    overall: the scores equal those of a default that everything beats."""
+    configs, scores = sysbench_pool[0][:100], sysbench_pool[1][:100]
+
+    def score_bytes(default_score):
+        m = MEASUREMENT_REGISTRY[name](mysql_space, seed=2, **SMALL_TUNABILITY[name])
+        result = m.rank(configs, scores, default_score=default_score)
+        values = np.array(list(result.knob_scores.values()))
+        assert np.isfinite(values).all()
+        return values.tobytes()
+
+    assert score_bytes(float(scores.max()) + 1.0) == score_bytes(-np.inf)
 
 
 class TestShapVsVariance:

@@ -53,7 +53,7 @@ class TestEncoding:
 
     def test_one_hot_encoding(self, tiny_space):
         default = tiny_space.default_configuration()
-        vec = tiny_space.one_hot_encode(default)
+        (vec,) = tiny_space.one_hot_encode_many([default])
         assert len(vec) == 3 + 3
         # x, n, then one indicator per mode choice: exactly one is hot
         cat_block = vec[2:5]

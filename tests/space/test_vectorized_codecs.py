@@ -137,6 +137,38 @@ def test_log_columns_match_libm(scalar_codec):
     assert space.snap_many(U).tobytes() == ref.encode(slow).tobytes()
 
 
+def _one_hot_blocks(space, configs) -> np.ndarray:
+    """One-hot rows built knob by knob: ``Knob.to_unit`` of a numeric
+    knob, an indicator block set at ``choice_index`` of a categorical one."""
+    rows = []
+    for config in configs:
+        parts = []
+        for knob in space.knobs:
+            if isinstance(knob, CategoricalKnob):
+                block = np.zeros(knob.n_choices)
+                block[knob.choice_index(config[knob.name])] = 1.0
+                parts.append(block)
+            else:
+                parts.append(np.array([knob.to_unit(config[knob.name])]))
+        rows.append(np.concatenate(parts))
+    return np.array(rows, dtype=float)
+
+
+def test_one_hot_encode_many_equals_per_knob_blocks(space, vectors):
+    configs = space.decode_many(vectors)
+    assert space.one_hot_encode_many(configs).tobytes() == _one_hot_blocks(space, configs).tobytes()
+
+
+def test_one_hot_of_tiny_and_numeric_spaces(tiny_space):
+    catalog = mysql_knob_space("B")
+    numeric = catalog.subspace([k.name for k in catalog.knobs if not k.is_categorical])
+    for space in (tiny_space, numeric):
+        configs = space.sample_configurations(50, np.random.default_rng(4))
+        one_hot = space.one_hot_encode_many(configs)
+        assert one_hot.tobytes() == _one_hot_blocks(space, configs).tobytes()
+    assert one_hot.tobytes() == numeric.encode_many(configs).tobytes()
+
+
 def test_snap_many_idempotent(space, vectors):
     snapped = space.snap_many(vectors)
     assert space.snap_many(snapped).tobytes() == snapped.tobytes()
